@@ -110,8 +110,7 @@ def _with_tau(model: ModelSpec, tau_text: str | None) -> ModelSpec:
 
 def _cmd_derive(args) -> int:
     model = _with_tau(_load_model_arg(args), args.tau)
-    model.check_hermitian()
-    eff = assemble(model, args.order, convention=args.convention)
+    eff = assemble(model, args.order)
     if args.threshold is not None:
         overrides = _parse_params(args.params)
         assignment = model.numeric_assignment(overrides)
@@ -150,15 +149,16 @@ def _cmd_simulate(args) -> int:
     if args.effective:
         with open(args.effective) as fh:
             document = json.load(fh)
-        tau = overrides.get("tau", document.get("params", {}).get("tau"))
+        assignment = dict(document.get("params", {}))
+        if args.tau is not None:
+            assignment["tau"] = parse_quantity(args.tau)
+        assignment.update(overrides)
+        tau = assignment.get("tau")
         filter_spec = GaussianFilter(tau) if tau is not None else None
         generator = load_effective(document, filter_spec)
-        assignment = dict(document.get("params", {}))
-        assignment.update(overrides)
         modes = generator.modes
     else:
         model = _with_tau(_load_model_arg(args), args.tau)
-        model.check_hermitian()
         assignment = model.numeric_assignment(overrides)
         generator = model
         modes = model.modes
@@ -283,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument(
         "--window",
         help="time window end for peak-magnitude pruning (e.g. 50ns)",
-    )
-    derive.add_argument(
-        "--convention", choices=("plain", "reversed"), default="plain"
     )
     derive.add_argument("--format", choices=("json", "text"), default="json")
     derive.add_argument("-o", "--output", help="output path (default stdout)")

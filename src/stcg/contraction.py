@@ -27,7 +27,6 @@ from .symbols import FilterSpec, FreqExpr, scalar_eval
 
 __all__ = [
     "FrequencyTuple",
-    "CoefficientResult",
     "UnresolvedSingularityError",
     "vector_factorial",
     "diagram_contribution",
@@ -62,15 +61,6 @@ class FrequencyTuple:
     def weight(self) -> tuple[int, int]:
         return (len(self.mu), len(self.nu))
 
-    @property
-    def total(self) -> FreqExpr:
-        out = FreqExpr.zero()
-        for w in self.mu:
-            out = out + w
-        for w in self.nu:
-            out = out + w
-        return out
-
     def negated(self) -> "FrequencyTuple":
         return FrequencyTuple(
             tuple(-w for w in self.mu), tuple(-w for w in self.nu)
@@ -82,16 +72,6 @@ class FrequencyTuple:
         new_mu = tuple(-w for w in self.nu) + (-self.mu[-1],)
         new_nu = tuple(-w for w in self.mu[:-1])
         return FrequencyTuple(new_mu, new_nu)
-
-
-@dataclass(frozen=True)
-class CoefficientResult:
-    """Closed-form coefficient plus bookkeeping about its computation."""
-
-    value: sp.Expr
-    tuple_key: FrequencyTuple
-    n_diagrams: int
-    n_singular: int
 
 
 def _partial_sums(block: Sequence[FreqExpr]) -> list[FreqExpr]:
@@ -190,12 +170,18 @@ def diagram_contribution(
     )
 
 
-def _diagram_series(
+def regularize_singular(
     diagram: Diagram,
     freqs: FrequencyTuple,
     filter_spec: FilterSpec,
 ) -> sp.Expr:
-    """Laurent expansion (through order 0) of a diagram near a singular tuple."""
+    """Regulated contribution of a singular diagram.
+
+    The result is a Laurent polynomial in the regulator symbol through order
+    zero.  A single diagram may keep negative regulator powers; those cancel
+    only in the sum over all diagrams of the coefficient, which
+    :func:`contraction_coefficient` verifies before dropping the regulator.
+    """
     if not filter_spec.symbolic:
         raise UnresolvedSingularityError(
             "evaluate-only filters cannot regulate singular frequency tuples"
@@ -227,30 +213,12 @@ def _diagram_series(
     return series
 
 
-def regularize_singular(
-    diagram: Diagram,
-    freqs: FrequencyTuple,
-    filter_spec: FilterSpec,
-) -> sp.Expr:
-    """Regulated contribution of a singular diagram.
-
-    The result is a Laurent polynomial in the regulator symbol through order
-    zero.  A single diagram may keep negative regulator powers; those cancel
-    only in the sum over all diagrams of the coefficient, which
-    :func:`contraction_coefficient` verifies before dropping the regulator.
-    """
-    return _diagram_series(diagram, freqs, filter_spec)
-
-
 _COEFF_CACHE: dict = {}
 
 
 def contraction_coefficient(
-    freqs: FrequencyTuple,
-    filter_spec: FilterSpec,
-    *,
-    detailed: bool = False,
-):
+    freqs: FrequencyTuple, filter_spec: FilterSpec
+) -> sp.Expr:
     """Closed-form coefficient ``C[l,r](mu, nu)`` as a sympy expression.
 
     Results are memoized on the frequency tuple and filter.  Singular
@@ -262,40 +230,30 @@ def contraction_coefficient(
     if hit is None:
         hit = _compute_coefficient(freqs, filter_spec)
         _COEFF_CACHE[key] = hit
-    return hit if detailed else hit.value
+    return hit
 
 
 def _compute_coefficient(
     freqs: FrequencyTuple, filter_spec: FilterSpec
-) -> CoefficientResult:
+) -> sp.Expr:
     left, right = freqs.weight
     regular_total = sp.Integer(0)
     series_total = sp.Integer(0)
-    n_diagrams = 0
-    n_singular = 0
+    singular = False
     for diagram in enumerate_diagrams(left, right):
-        n_diagrams += 1
         try:
             regular_total += diagram_contribution(diagram, freqs, filter_spec)
         except ZeroDivisionError:
-            n_singular += 1
+            singular = True
             series_total += regularize_singular(diagram, freqs, filter_spec)
-    if n_singular:
+    if singular:
         poles = _pole_part(series_total)
         if poles:
             raise UnresolvedSingularityError(
                 f"regulator poles survive in C{freqs.weight}: {poles}"
             )
-        finite = series_total.coeff(EPS, 0)
-        value = regular_total + finite
-    else:
-        value = regular_total
-    return CoefficientResult(
-        value=sp.expand(value),
-        tuple_key=freqs,
-        n_diagrams=n_diagrams,
-        n_singular=n_singular,
-    )
+        regular_total += series_total.coeff(EPS, 0)
+    return sp.expand(regular_total)
 
 
 def _pole_part(series: sp.Expr) -> list[tuple[int, sp.Expr]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -390,15 +391,17 @@ def encode_linear_ramp(
     )
 
 
-def _ramp_limit(groups: Mapping, regulator: str):
+def _ramp_limit(groups: Mapping, regulator: str | None):
     """Take the regulator -> 0 limit groupwise.
 
     ``groups`` maps a merge key to a list of ``(coeff, shift_multiple)``
     pairs; the combined coefficient including the residual phase
     ``exp(-i*m*shift*t)`` is expanded in the shift and the constant term
     kept.  Surviving negative powers mean the ramp limit does not exist.
+    Without a regulator the shift is 0, every phase is 1 and the pieces are
+    simply summed.  Zero results are dropped.
     """
-    shift = sp.Symbol(regulator, real=True)
+    shift = sp.Symbol(regulator, real=True) if regulator else sp.Integer(0)
     out = {}
     for key, pieces in groups.items():
         combined = sp.Add(
@@ -443,18 +446,39 @@ def _split_regulator(freq: FreqExpr, regulator: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _rev_neg(freqs: Sequence[FreqExpr]) -> tuple[FreqExpr, ...]:
-    return tuple(-w for w in reversed(freqs))
-
-
-def _neg(freqs: Sequence[FreqExpr]) -> tuple[FreqExpr, ...]:
-    return tuple(-w for w in freqs)
-
-
 def _orders(order, minimum: int) -> list[int]:
     if isinstance(order, int):
         return list(range(minimum, order + 1))
     return [k for k in order if k >= minimum]
+
+
+def _product(
+    terms: Sequence[HamiltonianTermSpec], degree_cap: int
+) -> OperatorSum:
+    """Operator product ``terms[0].op @ terms[1].op @ ...``, left to right."""
+    op = terms[0].op
+    for term in terms[1:]:
+        op = op.matmul(term.op, degree_cap)
+    return op
+
+
+def _merge(model: ModelSpec, slots: Mapping) -> list:
+    """Resolve merged ``(key, frequency)`` slots into sorted terms.
+
+    Slots are grouped by their regulator-free frequency; each group is summed
+    (or, for a ramped model, its regulator limit taken).  Returns
+    ``(key, frequency, coefficient)`` triples with non-zero coefficients,
+    sorted by frequency text, then key.
+    """
+    grouped: dict = {}
+    for (key, freq), coeff in slots.items():
+        base, mult = _split_regulator(freq, model.regulator)
+        grouped.setdefault((key, base), []).append((coeff, mult))
+    final = _ramp_limit(grouped, model.regulator)
+    return [
+        (key, base, final[(key, base)])
+        for key, base in sorted(final, key=lambda kb: (str(kb[1]), kb[0]))
+    ]
 
 
 def effective_hamiltonian(
@@ -467,72 +491,43 @@ def effective_hamiltonian(
     the product of the tuple's operators (outermost last), the frequency the
     tuple sum.  Terms merge on (canonical monomial, frequency).
     """
-    merged: dict = {}
+    slots = defaultdict(lambda: sp.Integer(0))
     filt = model.filter_spec
     for k in _orders(order, 1):
         for combo in itertools.product(model.terms, repeat=k):
             mu = tuple(term.freq for term in combo)
             c_fwd = contraction_coefficient(FrequencyTuple(mu), filt)
-            c_bwd = contraction_coefficient(FrequencyTuple(_rev_neg(mu)), filt)
-            coupling = sp.Mul(*(term.coeff for term in combo))
-            q = (c_fwd + c_bwd) / 2 * coupling
+            c_bwd = contraction_coefficient(
+                FrequencyTuple(mu[::-1]).negated(), filt
+            )
+            q = (c_fwd + c_bwd) / 2 * sp.Mul(*(term.coeff for term in combo))
             if q == 0:
                 continue
-            op = combo[-1].op
-            for term in reversed(combo[:-1]):
-                op = op.matmul(term.op, degree_cap)
-            total = FreqExpr.zero()
-            for w in mu:
-                total = total + w
+            op = _product(combo[::-1], degree_cap)
+            total = sum(mu, FreqExpr.zero())
             for key, mono in op.terms.items():
-                slot = (key, total)
-                merged[slot] = merged.get(slot, sp.Integer(0)) + q * mono
-    return _finish_hamiltonian(model, merged)
-
-
-def _finish_hamiltonian(model, merged):
-    grouped: dict = {}
-    for (key, freq), coeff in merged.items():
-        base, mult = _split_regulator(freq, model.regulator)
-        grouped.setdefault((key, base), []).append((coeff, mult))
-    if model.regulator:
-        final = _ramp_limit(grouped, model.regulator)
-    else:
-        final = {
-            key: sp.expand(sp.Add(*(c for c, _ in pieces)))
-            for key, pieces in grouped.items()
-        }
-    out = []
-    for (key, base) in sorted(final, key=lambda kb: (str(kb[1]), kb[0])):
-        coeff = final[(key, base)]
-        if coeff == 0:
-            continue
-        out.append(
-            HamiltonianTermSpec(
-                coeff, base, OperatorSum.monomial(model.modes, key)
-            )
+                slots[key, total] += q * mono
+    return tuple(
+        HamiltonianTermSpec(
+            coeff, base, OperatorSum.monomial(model.modes, key)
         )
-    return tuple(out)
+        for key, base, coeff in _merge(model, slots)
+    )
 
 
 def effective_dissipators(
     model: ModelSpec,
     order,
-    convention: str = "plain",
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> tuple[DissipatorTermSpec, ...]:
     """Pseudo-dissipator terms through the given order (empty below 2).
 
-    The rate combines the direct contraction coefficient with a mirrored
-    one; ``convention`` selects how the mirrored frequency tuple is formed:
-    "plain" uses the negated tuples ``(-nu, -mu)``, "reversed" additionally
-    reverses both.  "plain" is the default because it closes the term set
-    under conjugation exactly (see tests); the alternate is kept for
-    comparison.
+    The rate combines the direct contraction coefficient of ``(mu, nu)``
+    with the mirrored one of the negated tuples ``(-nu, -mu)``, which closes
+    the term set under conjugation exactly (see tests).  Terms merge on
+    (L monomial, J monomial, frequency).
     """
-    if convention not in ("plain", "reversed"):
-        raise ValueError(f"unknown convention {convention!r}")
-    merged: dict = {}
+    slots = defaultdict(lambda: sp.Integer(0))
     filt = model.filter_spec
     for k in _orders(order, 2):
         for l in range(1, k):
@@ -544,67 +539,33 @@ def effective_dissipators(
                     c_fwd = contraction_coefficient(
                         FrequencyTuple(mu, nu), filt
                     )
-                    if convention == "plain":
-                        mirror = FrequencyTuple(_neg(nu), _neg(mu))
-                    else:
-                        mirror = FrequencyTuple(_rev_neg(nu), _rev_neg(mu))
-                    c_bwd = contraction_coefficient(mirror, filt)
-                    coupling = sp.Mul(
-                        *(term.coeff for term in lcombo),
-                        *(term.coeff for term in rcombo),
+                    c_bwd = contraction_coefficient(
+                        FrequencyTuple(nu, mu).negated(), filt
                     )
+                    coupling = sp.Mul(*(t.coeff for t in lcombo + rcombo))
                     rate = -sp.I * (c_fwd - c_bwd) * coupling
                     if rate == 0:
                         continue
-                    left = lcombo[-1].op
-                    for term in reversed(lcombo[:-1]):
-                        left = left.matmul(term.op, degree_cap)
-                    right = rcombo[0].op
-                    for term in rcombo[1:]:
-                        right = right.matmul(term.op, degree_cap)
-                    total = FreqExpr.zero()
-                    for w in mu + nu:
-                        total = total + w
+                    left = _product(lcombo[::-1], degree_cap)
+                    right = _product(rcombo, degree_cap)
+                    total = sum(mu + nu, FreqExpr.zero())
                     for lkey, lmono in left.terms.items():
                         for jkey, jmono in right.terms.items():
-                            slot = (lkey, jkey, total)
-                            merged[slot] = (
-                                merged.get(slot, sp.Integer(0))
-                                + rate * lmono * jmono
-                            )
-    grouped: dict = {}
-    for (lkey, jkey, freq), ratev in merged.items():
-        base, mult = _split_regulator(freq, model.regulator)
-        grouped.setdefault((lkey, jkey, base), []).append((ratev, mult))
-    if model.regulator:
-        final = _ramp_limit(grouped, model.regulator)
-    else:
-        final = {
-            key: sp.expand(sp.Add(*(c for c, _ in pieces)))
-            for key, pieces in grouped.items()
-        }
-    out = []
-    for (lkey, jkey, base) in sorted(
-        final, key=lambda kb: (str(kb[2]), kb[0], kb[1])
-    ):
-        rate = final[(lkey, jkey, base)]
-        if rate == 0:
-            continue
-        out.append(
-            DissipatorTermSpec(
-                rate,
-                base,
-                OperatorSum.monomial(model.modes, lkey),
-                OperatorSum.monomial(model.modes, jkey),
-            )
+                            slots[(lkey, jkey), total] += rate * lmono * jmono
+    return tuple(
+        DissipatorTermSpec(
+            rate,
+            base,
+            OperatorSum.monomial(model.modes, lkey),
+            OperatorSum.monomial(model.modes, jkey),
         )
-    return tuple(out)
+        for (lkey, jkey), base, rate in _merge(model, slots)
+    )
 
 
 def assemble(
     model: ModelSpec,
     order: int,
-    convention: str = "plain",
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> EffectiveModel:
     """Full effective model: Hamiltonian and dissipators through ``order``."""
@@ -612,9 +573,9 @@ def assemble(
         order=order,
         modes=model.modes,
         hamiltonian=effective_hamiltonian(model, order, degree_cap),
-        dissipators=effective_dissipators(model, order, convention, degree_cap),
+        dissipators=effective_dissipators(model, order, degree_cap),
         filter_spec=model.filter_spec,
-        provenance={"model": model.name, "convention": convention},
+        provenance={"model": model.name},
     )
 
 

@@ -11,7 +11,6 @@ reduced to observable series.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -21,7 +20,7 @@ import sympy as sp
 
 from .model import EffectiveModel, ModelSpec
 from .operators import ModeSpec, OperatorSum, parse_operator
-from .symbols import TIME, FreqExpr, scalar_eval
+from .symbols import TIME, FreqExpr
 
 __all__ = [
     "Trajectory",
@@ -33,8 +32,6 @@ __all__ = [
     "expectation_series",
     "compare_series",
     "rate_decomposition",
-    "export_csv",
-    "export_summary",
 ]
 
 #: Fixed-step rule: at least this many steps per fastest retained period.
@@ -142,15 +139,12 @@ def build_initial(
 def _coeff_fn(coeff: sp.Expr, freq: FreqExpr, assignment: Mapping[str, float]):
     """Numeric function of time for ``coeff * exp(-i*freq*t)``."""
     omega = freq.evaluate(assignment)
-    point = {
-        s.name: assignment[s.name]
+    values = {
+        s: assignment[s.name]
         for s in coeff.free_symbols
         if s.name in assignment
     }
-    body = coeff.subs({sp.Symbol(k): v for k, v in point.items()})
-    body = body.subs(
-        {s: point.get(s.name) for s in body.free_symbols if s.name in point}
-    )
+    body = coeff.subs(values)
     leftover = {s.name for s in body.free_symbols} - {TIME.name}
     if leftover:
         raise KeyError(f"no value for symbol(s) {sorted(leftover)}")
@@ -195,6 +189,21 @@ def _realize(generator, assignment):
     return ham, dis, fastest, dim
 
 
+def _hamiltonian_at(ham, dim: int, t: float) -> np.ndarray:
+    """H(t) from a realized Hamiltonian term table."""
+    h = np.zeros((dim, dim), dtype=complex)
+    for mat, fn in ham:
+        h += fn(t) * mat
+    return h
+
+
+def _add_dissipators(out: np.ndarray, dis, t: float, rho: np.ndarray):
+    """Add the dissipator action on ``rho`` at time ``t`` to ``out``."""
+    for lmat, jmat, jl, fn in dis:
+        out += fn(t) * (lmat @ rho @ jmat - 0.5 * (jl @ rho + rho @ jl))
+    return out
+
+
 def integrate(
     generator,
     rho0: np.ndarray,
@@ -215,6 +224,8 @@ def integrate(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("empty integration window")
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
     if rho0.shape != (dim, dim):
         raise ValueError(
             f"initial state is {rho0.shape}, model dimension is {dim}"
@@ -230,15 +241,8 @@ def integrate(
     n_steps = stride * (n_samples - 1)
 
     def rhs(t, rho):
-        h = np.zeros((dim, dim), dtype=complex)
-        for mat, fn in ham:
-            h += fn(t) * mat
-        out = -1j * (h @ rho - rho @ h)
-        for lmat, jmat, jl, fn in dis:
-            out += fn(t) * (
-                lmat @ rho @ jmat - 0.5 * (jl @ rho + rho @ jl)
-            )
-        return out
+        h = _hamiltonian_at(ham, dim, t)
+        return _add_dissipators(-1j * (h @ rho - rho @ h), dis, t, rho)
 
     rho = np.array(rho0, dtype=complex)
     trace0 = abs(np.trace(rho))
@@ -365,20 +369,13 @@ def rate_decomposition(
     ground level are masked in the returned flags.
     """
     ham, dis, _, dim = _realize(eff, assignment)
-
-    def h_at(t):
-        h = np.zeros((dim, dim), dtype=complex)
-        for mat, fn in ham:
-            h += fn(t) * mat
-        return h
-
     n = len(traj.times)
     inert = np.zeros(n)
     dynam = np.zeros(n)
     ok = np.zeros(n, dtype=bool)
     dt = traj.dt
     for i, t in enumerate(traj.times):
-        h = h_at(t)
+        h = _hamiltonian_at(ham, dim, t)
         vals, vecs = np.linalg.eigh(h)
         if len(vals) > 1 and vals[1] - vals[0] < gap_tol * max(
             1.0, abs(vals[-1])
@@ -387,7 +384,10 @@ def rate_decomposition(
         ok[i] = True
         ground = vecs[:, 0]
         rho = traj.states[i]
-        hdot = (h_at(t + dt / 2) - h_at(t - dt / 2)) / dt
+        hdot = (
+            _hamiltonian_at(ham, dim, t + dt / 2)
+            - _hamiltonian_at(ham, dim, t - dt / 2)
+        ) / dt
         total = 0.0
         for level in range(1, len(vals)):
             vn = vecs[:, level]
@@ -396,39 +396,8 @@ def rate_decomposition(
                 num / (vals[0] - vals[level]) * (ground.conj() @ rho @ vn)
             ).real * 2
         inert[i] = total
-        drho = np.zeros((dim, dim), dtype=complex)
-        for lmat, jmat, jl, fn in dis:
-            drho += fn(t) * (
-                lmat @ rho @ jmat - 0.5 * (jl @ rho + rho @ jl)
-            )
+        drho = _add_dissipators(
+            np.zeros((dim, dim), dtype=complex), dis, t, rho
+        )
         dynam[i] = (ground.conj() @ drho @ ground).real
     return inert, dynam, ok
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def export_csv(path, times: np.ndarray, columns: Mapping[str, np.ndarray]):
-    """Write a time series table; complex columns split into re/im."""
-    names = ["t"]
-    series = [np.asarray(times, dtype=float)]
-    for label in columns:
-        values = np.asarray(columns[label])
-        if np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 1e-12:
-            names += [f"{label}_re", f"{label}_im"]
-            series += [values.real, values.imag]
-        else:
-            names.append(label)
-            series.append(values.real if np.iscomplexobj(values) else values)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*series):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def export_summary(path, payload: Mapping):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

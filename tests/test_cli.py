@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,9 @@ JC_DOC = {
         {"coupling": "g/2", "frequency": "-2*w", "operator": "a'*sp"},
     ],
 }
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 @pytest.fixture
@@ -65,6 +69,14 @@ class TestExitCodes:
         assert code == 4
         capsys.readouterr()
 
+    def test_validation_error_on_too_few_samples(self, model_path, capsys):
+        code = main(
+            ["simulate", "--model", model_path, "--initial", "fock(0)*g",
+             "--t1", "1ns", "--samples", "1"]
+        )
+        assert code == 3
+        assert "at least 2 samples" in capsys.readouterr().err
+
 
 class TestDerive:
     def test_json_stdout(self, model_path, capsys):
@@ -101,6 +113,15 @@ class TestDerive:
         ) == 0
         out = capsys.readouterr().out
         assert "order" in out.lower() or "H" in out
+
+    def test_rabi_order1_matches_stored_export(self, tmp_path):
+        # the order-1 rabi model the benchmark integrates, byte for byte
+        out = tmp_path / "rabi1.json"
+        assert main(
+            ["derive", "--preset", "rabi", "--order", "1", "-o", str(out)]
+        ) == 0
+        stored = BENCH_DATA / "rabi_order1.json"
+        assert out.read_bytes() == stored.read_bytes()
 
     def test_preset_derive(self, capsys):
         assert main(["derive", "--preset", "rabi", "--order", "1"]) == 0
@@ -139,6 +160,25 @@ class TestSimulateAndCompare:
         metrics = json.loads(out_json.read_text())
         # resonant exchange dominates; the coarse-grained run tracks it
         assert metrics["pe"]["max_abs"] < 0.05
+
+    def test_effective_tau_option(self, tmp_path, capsys):
+        # derived with symbolic tau: --tau must supply it like --params does
+        doc = {k: v for k, v in JC_DOC.items() if k != "filter"}
+        model = tmp_path / "jc_symbolic.json"
+        model.write_text(json.dumps(doc))
+        eff = tmp_path / "eff.json"
+        assert main(
+            ["derive", "--model", str(model), "--order", "1", "-o", str(eff)]
+        ) == 0
+        common = ["simulate", "--effective", str(eff), "--initial",
+                  "fock(0)*e", "--t1", "1ns", "--samples", "11"]
+        by_tau, by_params = tmp_path / "tau.csv", tmp_path / "params.csv"
+        assert main([*common, "--tau", "0.2ns", "-o", str(by_tau)]) == 0
+        assert main(
+            [*common, "--params", "tau=0.2ns", "-o", str(by_params)]
+        ) == 0
+        assert by_tau.read_bytes() == by_params.read_bytes()
+        capsys.readouterr()
 
     def test_compare_identical_files(self, model_path, tmp_path, capsys):
         csv = tmp_path / "run.csv"

@@ -184,7 +184,7 @@ class TestAssembly:
 
     def test_dissipators_closed_under_conjugation_plain(self):
         m = load_model(RABI_DOC)
-        d2 = effective_dissipators(m, 2, convention="plain")
+        d2 = effective_dissipators(m, 2)
         assert d2
         table = {}
         for term in d2:

@@ -160,6 +160,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(model, np.eye(3) / 3, (0.0, 1.0), {"g": 1.0})
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_rejects_too_few_samples(self, n_samples):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "fock(0)*e")
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, n_samples=n_samples)
+
 
 class TestCoarseGrain:
     def test_constant_unchanged(self):
