@@ -183,10 +183,45 @@ def _realize(generator, assignment):
         fn, omega = _coeff_fn(term.rate, term.freq, assignment)
         lmat = term.left.matrix(assignment)
         jmat = term.right.matrix(assignment)
-        dis.append((lmat, jmat, jmat @ lmat, fn))
+        jl = jmat @ lmat
+        dis.append(
+            (
+                _left_product(lmat),
+                _right_product(jmat),
+                _left_product(jl),
+                _right_product(jl),
+                fn,
+            )
+        )
         fastest = max(fastest, abs(omega))
     dim = int(np.prod([m.dim for m in modes]))
     return ham, dis, fastest, dim
+
+
+def _left_product(mat: np.ndarray):
+    """``x -> mat @ x``.
+
+    A monomial operator has at most one non-zero per row; its product is
+    then a row gather, which forms each entry from the same single
+    non-zero product as the dense one, in O(d**2) rather than O(d**3).
+    """
+    nonzero = mat != 0
+    if nonzero.sum(axis=1).max(initial=0) > 1:
+        return lambda x: mat @ x
+    cols = nonzero.argmax(axis=1)
+    vals = mat[np.arange(len(mat)), cols][:, None]
+    return lambda x: vals * x[cols]
+
+
+def _right_product(mat: np.ndarray):
+    """``x -> x @ mat``, a column gather when ``mat`` has at most one
+    non-zero per column (see :func:`_left_product`)."""
+    nonzero = mat != 0
+    if nonzero.sum(axis=0).max(initial=0) > 1:
+        return lambda x: x @ mat
+    rows = nonzero.argmax(axis=0)
+    vals = mat[rows, np.arange(len(mat))][None, :]
+    return lambda x: x[:, rows] * vals
 
 
 def _hamiltonian_at(ham, dim: int, t: float) -> np.ndarray:
@@ -199,8 +234,9 @@ def _hamiltonian_at(ham, dim: int, t: float) -> np.ndarray:
 
 def _add_dissipators(out: np.ndarray, dis, t: float, rho: np.ndarray):
     """Add the dissipator action on ``rho`` at time ``t`` to ``out``."""
-    for lmat, jmat, jl, fn in dis:
-        out += fn(t) * (lmat @ rho @ jmat - 0.5 * (jl @ rho + rho @ jl))
+    for left, right, jl_left, jl_right, fn in dis:
+        jump = right(left(rho))
+        out += fn(t) * (jump - 0.5 * (jl_left(rho) + jl_right(rho)))
     return out
 
 

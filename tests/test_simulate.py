@@ -14,6 +14,8 @@ from stcg.simulate import (
     coarse_grain_trajectory,
     compare_series,
     expectation_series,
+    _left_product,
+    _right_product,
     integrate,
     rate_decomposition,
 )
@@ -166,6 +168,26 @@ class TestIntegrate:
         rho0 = build_initial(model.modes, "fock(0)*e")
         with pytest.raises(ValueError, match="at least 2 samples"):
             integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, n_samples=n_samples)
+
+
+class TestOperatorProducts:
+    @pytest.mark.parametrize("text", ["a'^2*a*sp", "a^3*sm", "a'*a*t(e,e)"])
+    def test_monomial_gather_equals_dense_product(self, text):
+        mat = parse_operator(text, JC_MODES).matrix()
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+        assert np.array_equal(_left_product(mat)(x), mat @ x)
+        assert np.array_equal(_right_product(mat)(x), x @ mat)
+
+    def test_operator_sum_uses_dense_product(self):
+        mat = (
+            parse_operator("a", JC_MODES).matrix()
+            + parse_operator("a'*sp", JC_MODES).matrix()
+        )
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+        assert np.allclose(_left_product(mat)(x), mat @ x, rtol=0, atol=1e-12)
+        assert np.allclose(_right_product(mat)(x), x @ mat, rtol=0, atol=1e-12)
 
 
 class TestCoarseGrain:
