@@ -623,6 +623,8 @@ def prune_terms(
     if time_window is None:
         times = [0.0]
     else:
+        if samples < 2:
+            raise ValueError(f"need at least 2 samples, got {samples}")
         t0, t1 = time_window
         times = [t0 + (t1 - t0) * i / (samples - 1) for i in range(samples)]
     ham = [

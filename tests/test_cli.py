@@ -77,6 +77,14 @@ class TestExitCodes:
         assert code == 3
         assert "at least 2 samples" in capsys.readouterr().err
 
+    def test_validation_error_on_zero_step(self, capsys):
+        code = main(
+            ["simulate", "--preset", "rabi", "--initial", "fock(0)*e",
+             "--t1", "0.1ns", "--dt=0"]
+        )
+        assert code == 3
+        assert "step must be finite and > 0" in capsys.readouterr().err
+
 
 class TestDerive:
     def test_json_stdout(self, model_path, capsys):

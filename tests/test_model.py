@@ -239,6 +239,14 @@ class TestPruneExport:
             + len(eff.dissipators) - len(pruned.dissipators)
         )
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_prune_window_rejects_too_few_samples(self, samples):
+        eff = assemble(load_model(RABI_DOC), 1)
+        point = {"wa": 20.0, "wc": 21.0, "g": 0.5, "tau": 0.4}
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            prune_terms(eff, 1e-6, point, time_window=(0.0, 1.0),
+                        samples=samples)
+
     def test_json_round_trip(self):
         eff = self._eff()
         doc = export_model(eff, "json")

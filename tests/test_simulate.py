@@ -1,12 +1,19 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from stcg.model import EffectiveModel, HamiltonianTermSpec, load_model
+from stcg.model import (
+    DissipatorTermSpec,
+    EffectiveModel,
+    HamiltonianTermSpec,
+    load_model,
+)
 from stcg.operators import ModeSpec, parse_operator
 from stcg.simulate import (
+    GATHER_RATIO,
     NumericalGuardError,
     ObservableSpec,
     Trajectory,
@@ -14,12 +21,15 @@ from stcg.simulate import (
     coarse_grain_trajectory,
     compare_series,
     expectation_series,
+    _generator,
     _left_product,
+    _realize,
     _right_product,
+    _slot_product,
     integrate,
     rate_decomposition,
 )
-from stcg.symbols import FreqExpr, GaussianFilter
+from stcg.symbols import TIME, FreqExpr, GaussianFilter
 
 JC_MODES = (ModeSpec("a", "bosonic", 6), ModeSpec("q", "two_level"))
 
@@ -56,6 +66,116 @@ def effective_from(model, order=1):
         filter_spec=GaussianFilter(),
         provenance={},
     )
+
+
+def operator_sum(modes, *texts):
+    result = parse_operator(texts[0], modes)
+    for text in texts[1:]:
+        result = result + parse_operator(text, modes)
+    return result
+
+
+def lindblad_model(modes, hamiltonian, dissipators):
+    """Effective model from ``(coeff, freq, op)`` and
+    ``(rate, freq, L, J)`` tuples; coefficients are sympy expressions."""
+    return EffectiveModel(
+        order=2,
+        modes=tuple(modes),
+        hamiltonian=tuple(
+            HamiltonianTermSpec(sp.sympify(c), FreqExpr.parse(f), op)
+            for c, f, op in hamiltonian
+        ),
+        dissipators=tuple(
+            DissipatorTermSpec(sp.sympify(r), FreqExpr.parse(f), left, right)
+            for r, f, left, right in dissipators
+        ),
+        filter_spec=GaussianFilter(),
+        provenance={},
+    )
+
+
+def generator_case(name):
+    """Models on each side of the gather/dense rule, with operator sums
+    of two or more non-zeros per row, complex rates and a coefficient
+    linear in ``t``."""
+    g, w = sp.Symbol("g"), sp.Symbol("w")
+    if name == "narrow":
+        modes = (ModeSpec("a", "bosonic", 40), ModeSpec("q", "two_level"))
+        x = operator_sum(modes, "a", "a'")
+        hamiltonian = [
+            (g * TIME, "0", x),
+            (1.1, "0", parse_operator("sz", modes)),
+        ]
+        dissipators = [
+            (0.4 + 0.3j, "w", parse_operator("a", modes), x),
+            (0.2, "0", parse_operator("sm", modes), parse_operator("sp", modes)),
+        ]
+    else:
+        modes = (ModeSpec("a", "bosonic", 4), ModeSpec("q", "two_level"))
+        x = operator_sum(modes, "a", "a'")
+        hamiltonian = [
+            (g * TIME, "0", x.matmul(x).matmul(x)),
+            (1.1, "0", parse_operator("sz", modes)),
+        ]
+        dissipators = [
+            (0.4 - 0.7j, "w", x, parse_operator("a'^2*sp", modes)),
+            (0.25, "-w", operator_sum(modes, "a", "sm"),
+             operator_sum(modes, "a'", "sp")),
+        ]
+    return (
+        lindblad_model(modes, hamiltonian, dissipators),
+        {"g": 1.3, "w": 2.9},
+    )
+
+
+def coefficient_at(expr, freq, assignment, t):
+    values = {
+        s: t if s == TIME else assignment[s.name] for s in expr.free_symbols
+    }
+    omega = freq.evaluate(assignment)
+    return complex(expr.subs(values)) * cmath.exp(-1j * omega * t)
+
+
+def dense_rhs(eff, assignment, t, rho, hamiltonian=True):
+    """``-i[H(t), rho] + sum_j r_j(t) (L rho J - {JL, rho}/2)`` with dense
+    matrices, straight from the master equation."""
+    out = np.zeros_like(rho)
+    if hamiltonian:
+        h = np.zeros_like(rho)
+        for term in eff.hamiltonian:
+            h += coefficient_at(term.coeff, term.freq, assignment, t) * (
+                term.op.matrix(assignment)
+            )
+        out += -1j * (h @ rho - rho @ h)
+    for term in eff.dissipators:
+        rate = coefficient_at(term.rate, term.freq, assignment, t)
+        left = term.left.matrix(assignment)
+        right = term.right.matrix(assignment)
+        jl = right @ left
+        out += rate * (left @ rho @ right - 0.5 * (jl @ rho + rho @ jl))
+    return out
+
+
+def slots_per_line(eff, assignment):
+    """Largest non-zero count per row and per column over all H and JL."""
+    ham, dis, _, dim = _realize(eff, assignment)
+    pattern = np.zeros((dim, dim), dtype=bool)
+    for mat, _ in ham:
+        pattern |= mat != 0
+    for _, _, jl, _ in dis:
+        pattern |= jl != 0
+    return pattern.sum(axis=1).max(), pattern.sum(axis=0).max(), dim
+
+
+def random_matrix(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def random_density(dim, seed):
+    x = random_matrix(dim, seed)
+    rho = x @ x.conj().T
+    return rho / np.trace(rho)
 
 
 class TestInitialStates:
@@ -168,6 +288,101 @@ class TestIntegrate:
         rho0 = build_initial(model.modes, "fock(0)*e")
         with pytest.raises(ValueError, match="at least 2 samples"):
             integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, n_samples=n_samples)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_step(self, dt):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "fock(0)*e")
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, dt=dt)
+
+    def test_rk4_matches_dense_reference(self):
+        modes = JC_MODES
+        g = sp.Symbol("g")
+        eff = lindblad_model(
+            modes,
+            [
+                (g / 2, "0", parse_operator("a*sp", modes)),
+                (g / 2, "0", parse_operator("a'*sm", modes)),
+                (0.1 * g * TIME, "0", operator_sum(modes, "a", "a'")),
+            ],
+            [
+                (0.3, "0", parse_operator("a", modes),
+                 parse_operator("a'", modes)),
+                (0.05 + 0.02j, "w", parse_operator("sm", modes),
+                 operator_sum(modes, "a'", "sp")),
+                (0.05 - 0.02j, "-w", operator_sum(modes, "a", "sm"),
+                 parse_operator("sp", modes)),
+            ],
+        )
+        assignment = {"g": 1.7, "w": 2.0}
+        rho0 = build_initial(modes, "coherent(0.8)*e")
+        traj = integrate(eff, rho0, (0.0, 0.6), assignment, dt=0.02,
+                         n_samples=7)
+        dt, stride = traj.meta["dt"], traj.meta["stride"]
+        rho = rho0.astype(complex)
+        expected = [rho]
+        for step in range(stride * (len(traj.times) - 1)):
+            t = step * dt
+            f = lambda t, r: dense_rhs(eff, assignment, t, r)  # noqa: E731
+            k1 = f(t, rho)
+            k2 = f(t + dt / 2, rho + dt / 2 * k1)
+            k3 = f(t + dt / 2, rho + dt / 2 * k2)
+            k4 = f(t + dt, rho + dt * k3)
+            rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (step + 1) % stride == 0:
+                expected.append(rho)
+        assert np.max(np.abs(traj.states - np.array(expected))) < 1e-12
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("case", ["narrow", "wide"])
+    def test_matches_dense_formula(self, case):
+        eff, assignment = generator_case(case)
+        rows, cols, dim = slots_per_line(eff, assignment)
+        narrow = max(rows, cols) * GATHER_RATIO <= dim
+        assert narrow == (case == "narrow")
+        assert min(rows, cols) >= 2
+        ham, dis, _, dim = _realize(eff, assignment)
+        rhs = _generator(ham, dis, dim)
+        rho = random_matrix(dim, 5)
+        out = np.empty_like(rho)
+        for t in (0.0, 0.37, 1.9):
+            ref = dense_rhs(eff, assignment, t, rho)
+            err = np.max(np.abs(rhs(t, rho, out) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref))
+
+    def test_empty_tables_give_zero(self):
+        rhs = _generator([], [], 5)
+        out = rhs(0.3, random_matrix(5, 1), np.ones((5, 5), dtype=complex))
+        assert not out.any()
+
+    @pytest.mark.parametrize("dim, k", [(80, 3), (12, 3)])
+    def test_slot_products_mask_padding(self, dim, k):
+        # row 0 holds a single non-zero in column 0, where the padding
+        # slots point too; row 1 and column 1 are empty
+        rng = np.random.default_rng(dim)
+        mats = []
+        for _ in range(2):
+            mat = np.zeros((dim, dim), dtype=complex)
+            mat[0, 0] = rng.normal() + 1j
+            for i in range(2, dim):
+                cols = rng.choice(np.delete(np.arange(dim), 1), size=k,
+                                  replace=False)
+                mat[i, cols] = rng.normal(size=k) + 1j * rng.normal(size=k)
+            mats.append(mat)
+        mats[1][:, 2:] *= rng.integers(0, 2, size=dim - 2)  # thin it out
+        pattern = (mats[0] != 0) | (mats[1] != 0)
+        c = np.array([0.7 - 0.2j, -1.3 + 0.5j])
+        total = c[0] * mats[0] + c[1] * mats[1]
+        x = random_matrix(dim, 2)
+        left = np.empty_like(x)
+        _slot_product(mats, pattern, axis=0)(c, x, left, add=False)
+        right = np.ones_like(x)
+        _slot_product(mats, pattern, axis=1)(c, x, right, add=True)
+        assert np.allclose(left, total @ x, rtol=0, atol=1e-12)
+        assert np.allclose(right, 1 + x @ total, rtol=0, atol=1e-12)
+        assert not left[1].any() and np.all(right[:, 1] == 1)
 
 
 class TestOperatorProducts:
@@ -283,3 +498,23 @@ class TestRateDecomposition:
         inert, dynam, ok = rate_decomposition(eff, traj, assignment)
         assert np.max(np.abs(inert[ok])) < 1e-9
         assert np.max(np.abs(dynam[ok])) < 1e-12
+
+    @pytest.mark.parametrize("case", ["narrow", "wide"])
+    def test_dynamical_rate_matches_dense_formula(self, case):
+        eff, assignment = generator_case(case)
+        ham, _, _, dim = _realize(eff, assignment)
+        times = np.linspace(0.5, 0.9, 5)
+        states = np.array([random_density(dim, i) for i in range(5)])
+        traj = Trajectory(times, states, {})
+        _, dynam, ok = rate_decomposition(eff, traj, assignment)
+        assert ok.all()
+        for t, rho, value in zip(times, states, dynam):
+            h = sum(
+                coefficient_at(term.coeff, term.freq, assignment, t)
+                * term.op.matrix(assignment)
+                for term in eff.hamiltonian
+            )
+            ground = np.linalg.eigh(h)[1][:, 0]
+            drho = dense_rhs(eff, assignment, t, rho, hamiltonian=False)
+            ref = (ground.conj() @ drho @ ground).real
+            assert value == pytest.approx(ref, rel=1e-12, abs=1e-14)
