@@ -13,9 +13,12 @@ sum_j r_j(t) L_j rho J_j`` with ``A = -iH - sum_j r_j JL_j / 2`` and
 non-zero pattern of all H and JL matrices, K slots per row (column),
 and rebuilt per step by one small product over the term coefficients.
 A narrow pattern (``K * GATHER_RATIO <= d``) is applied by K row and K
-column gathers, a wide one by one dense matrix product per side; the
-jump terms ``L rho J`` are gathers for monomial L and J.  The RK4 loop
-works in preallocated arrays.
+column gathers, a wide one by one dense matrix product per side.  The
+jump terms ``L rho J`` with monomial L and J form one flat table, K'
+weighted entries of rho per output entry, applied together by one gather
+of rho, one of the coefficients and one sum over the slots; any other
+jump term keeps its own pair of products.  The RK4 loop works in
+preallocated arrays and writes samples into a preallocated trajectory.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ KERNEL_SUPPORT = 5.0
 #: ``K * GATHER_RATIO <= d``, else by one dense product.  A gather costs
 #: about a tenth of a d=200 matmul but about half of a d=60 one.
 GATHER_RATIO = 20
+
+#: Output frames that :func:`coarse_grain_trajectory` accumulates at a time
+#: fill at most this many bytes (at least one frame).
+_AVERAGE_BLOCK_BYTES = 1 << 22
 
 
 class NumericalGuardError(RuntimeError):
@@ -119,7 +126,7 @@ def build_initial(
             dim = mode.dim
             if factor.startswith("fock(") and factor.endswith(")"):
                 n = int(factor[5:-1])
-                if n >= dim:
+                if not 0 <= n < dim:
                     raise ValueError(
                         f"fock({n}) outside truncation {dim} of {mode.name!r}"
                     )
@@ -176,7 +183,8 @@ def _realize(generator, assignment):
 
     Hamiltonian terms are ``(H, coeff_fn)``; dissipators are ``(x -> L x,
     x -> x J, JL, rate_fn)``, so that dense L and J are kept only where
-    the product needs them (see :func:`_left_product`).
+    the product needs them (see :func:`_left_product`): a monomial is
+    reduced to its index and value vectors, a :class:`_Gather`.
     """
     ham = []
     dis = []
@@ -220,7 +228,9 @@ def _generator(ham, dis, dim: int):
     share the union non-zero pattern of all H and ``JL`` matrices, whose
     per-term values are laid out once here; each call combines them with
     one small product over the term coefficients (see
-    :func:`_slot_product`).  Work arrays are allocated once, so a call
+    :func:`_slot_product`).  Jump terms with monomial L and J are applied
+    together by one flat gather (see :func:`_jump_table`), any other by
+    its own pair of products.  Work arrays are allocated once, so a call
     allocates no d x d array and a generator is not reentrant.
     """
     mats = [mat for mat, _ in ham] + [jl for _, _, jl, _ in dis]
@@ -232,10 +242,13 @@ def _generator(ham, dis, dim: int):
         pattern |= mat != 0
     left = _slot_product(mats, pattern, axis=0)
     right = _slot_product(mats, pattern, axis=1)
-    jumps = [
-        (l_prod, j_prod, len(ham) + j)
-        for j, (l_prod, j_prod, _, _) in enumerate(dis)
-    ]
+    monomial, general = [], []
+    for j, (l_prod, j_prod, _, _) in enumerate(dis):
+        gathers = isinstance(l_prod, _Gather) and isinstance(j_prod, _Gather)
+        (monomial if gathers else general).append(
+            (l_prod, j_prod, len(ham) + j)
+        )
+    table = _jump_table(monomial, dim)
     half = np.empty((dim, dim), dtype=complex)
     jump = np.empty((dim, dim), dtype=complex)
 
@@ -243,13 +256,23 @@ def _generator(ham, dis, dim: int):
         coeffs = np.array([fn(t) for fn in fns], dtype=complex)
         left(coeffs * to_left, rho, out, add=False)
         right(coeffs * to_right, rho, out, add=True)
-        for l_prod, j_prod, k in jumps:
+        table(coeffs, rho, out)
+        for l_prod, j_prod, k in general:
             term = j_prod(l_prod(rho, half), jump)
             term *= coeffs[k]
             out += term
         return out
 
     return rhs
+
+
+def _slot_positions(lines: np.ndarray, n_lines: int):
+    """Slot of each entry within its line, for sorted ``lines``, and the
+    slot count K (the largest line count)."""
+    counts = np.bincount(lines, minlength=n_lines)
+    k = int(counts.max(initial=0))
+    pos = np.arange(len(lines)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return pos, k
 
 
 def _slots(pattern: np.ndarray):
@@ -259,9 +282,7 @@ def _slots(pattern: np.ndarray):
     marked False in ``valid``.
     """
     rows, cols = np.nonzero(pattern)
-    counts = np.bincount(rows, minlength=len(pattern))
-    k = int(counts.max(initial=0))
-    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos, k = _slot_positions(rows, len(pattern))
     index = np.zeros((k, len(pattern)), dtype=np.intp)
     valid = np.zeros((k, len(pattern)), dtype=bool)
     index[pos, rows] = cols
@@ -325,6 +346,83 @@ def _slot_product(mats, pattern: np.ndarray, axis: int):
     return dense
 
 
+def _jump_table(jumps, dim: int):
+    """``apply(c, x, out)``: ``out += sum c[k] L x J`` over the ``(L, J,
+    k)`` of ``jumps``, with L and J given as :class:`_Gather`.
+
+    Entry ``(i, m)`` of ``L x J`` is ``l[i] j[m] x[lc[i], jr[m]]``, so each
+    term contributes flat records (output ``i*d + m``, input ``lc[i]*d +
+    jr[m]``, term k, weight ``l[i] j[m]``); zero weights are dropped.  The
+    records are laid out as K slots per output entry, padded with input 0
+    and weight 0, so a call is one gather of x, one of c, two products and
+    one sum over the slots, all in preallocated arrays.
+    """
+    size = dim * dim
+    outs, ins, terms, weights = [], [], [], []
+    for l_prod, j_prod, k in jumps:
+        weight = np.multiply.outer(l_prod.values, j_prod.values).ravel()
+        keep = np.flatnonzero(weight)
+        rows, cols = np.divmod(keep, dim)
+        outs.append(keep)
+        ins.append(l_prod.index[rows] * dim + j_prod.index[cols])
+        terms.append(np.full(len(keep), k))
+        weights.append(weight[keep])
+    if not any(map(len, outs)):
+        return lambda c, x, out: None
+    order = np.argsort(np.concatenate(outs), kind="stable")
+    outs, ins, terms, weights = (
+        np.concatenate(part)[order] for part in (outs, ins, terms, weights)
+    )
+    pos, k = _slot_positions(outs, size)
+    # intp: np.take converts any other index type to it on every call
+    index = np.zeros((k, size), dtype=np.intp)
+    term = np.zeros((k, size), dtype=np.intp)
+    weight = np.zeros((k, size), dtype=complex)
+    index[pos, outs] = ins
+    term[pos, outs] = terms
+    weight[pos, outs] = weights
+    gathered = np.empty((k, size), dtype=complex)
+    scaled = np.empty((k, size), dtype=complex)
+    total = np.empty((dim, dim), dtype=complex)
+
+    def apply(c, x, out):
+        np.take(x.reshape(-1), index, out=gathered, mode="clip")
+        np.take(c, term, out=scaled, mode="clip")
+        np.multiply(scaled, weight, out=scaled)
+        np.multiply(gathered, scaled, out=gathered)
+        np.sum(gathered, axis=0, out=total.reshape(-1))
+        out += total
+
+    return apply
+
+
+@dataclass(frozen=True, eq=False)
+class _Gather:
+    """``(x, out=None) -> M @ x`` (``axis=0``) or ``x @ M`` (``axis=1``)
+    for an M with at most one non-zero per row (column): line i of the
+    product is ``values[i]`` times line ``index[i]`` of x."""
+
+    index: np.ndarray
+    values: np.ndarray
+    axis: int
+
+    def __call__(self, x, out=None):
+        out = np.take(x, self.index, axis=self.axis, out=out, mode="clip")
+        out *= self.values[:, None] if self.axis == 0 else self.values
+        return out
+
+
+def _gather(mat: np.ndarray, axis: int):
+    """``mat`` as a :class:`_Gather`, or None when a row (``axis=0``) or
+    a column (``axis=1``) holds more than one non-zero."""
+    lines = mat if axis == 0 else mat.T
+    nonzero = lines != 0
+    if nonzero.sum(axis=1).max(initial=0) > 1:
+        return None
+    index = nonzero.argmax(axis=1)
+    return _Gather(index, lines[np.arange(len(lines)), index], axis)
+
+
 def _left_product(mat: np.ndarray):
     """``(x, out=None) -> mat @ x``.
 
@@ -332,34 +430,18 @@ def _left_product(mat: np.ndarray):
     then a row gather, which forms each entry from the same single
     non-zero product as the dense one, in O(d**2) rather than O(d**3).
     """
-    nonzero = mat != 0
-    if nonzero.sum(axis=1).max(initial=0) > 1:
+    gather = _gather(mat, axis=0)
+    if gather is None:
         return lambda x, out=None: np.matmul(mat, x, out=out)
-    cols = nonzero.argmax(axis=1)
-    vals = mat[np.arange(len(mat)), cols][:, None]
-
-    def gather(x, out=None):
-        out = np.take(x, cols, axis=0, out=out, mode="clip")
-        out *= vals
-        return out
-
     return gather
 
 
 def _right_product(mat: np.ndarray):
     """``(x, out=None) -> x @ mat``, a column gather when ``mat`` has at
     most one non-zero per column (see :func:`_left_product`)."""
-    nonzero = mat != 0
-    if nonzero.sum(axis=0).max(initial=0) > 1:
+    gather = _gather(mat, axis=1)
+    if gather is None:
         return lambda x, out=None: np.matmul(x, mat, out=out)
-    rows = nonzero.argmax(axis=0)
-    vals = mat[rows, np.arange(len(mat))][None, :]
-
-    def gather(x, out=None):
-        out = np.take(x, rows, axis=1, out=out, mode="clip")
-        out *= vals
-        return out
-
     return gather
 
 
@@ -413,8 +495,10 @@ def integrate(
 
     rho = np.array(rho0, dtype=complex)
     trace0 = abs(np.trace(rho))
-    times = [t0]
-    states = [rho.copy()]
+    times = np.empty(n_samples)
+    states = np.empty((n_samples, dim, dim), dtype=complex)
+    times[0] = t0
+    states[0] = rho
     # preallocated stages: at d ~ 200 fresh d x d temporaries per step cost
     # more than the arithmetic, as the allocator hands their pages back
     k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
@@ -441,11 +525,12 @@ def integrate(
                 raise NumericalGuardError(
                     f"trace drift {drift:.2e} exceeds {trace_tol} at t={t}"
                 )
-            times.append(t)
-            states.append(rho.copy())
+            sample = (step + 1) // stride
+            times[sample] = t
+            states[sample] = rho
     return Trajectory(
-        np.array(times),
-        np.array(states),
+        times,
+        states,
         meta={
             "dt": dt,
             "stride": stride,
@@ -483,6 +568,8 @@ def coarse_grain_trajectory(traj: Trajectory, tau: float) -> Trajectory:
     output keeps only interior points with full kernel support, so the
     input must extend at least that margin beyond the window of interest.
     """
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"averaging width must be finite and > 0, got {tau}")
     kernel = _gaussian_kernel(traj.dt, tau)
     half = (len(kernel) - 1) // 2
     if len(traj.times) < len(kernel):
@@ -490,12 +577,19 @@ def coarse_grain_trajectory(traj: Trajectory, tau: float) -> Trajectory:
         raise ValueError(
             f"trajectory too short for averaging width: pad by >= {need:.3g}"
         )
-    # accumulate per kernel offset: O(n_out * d * d) memory, no giant
-    # windowed intermediate
+    # accumulate per kernel offset, a block of output frames at a time
+    # through one small buffer: no n_out x d x d temporary
     n_out = len(traj.times) - len(kernel) + 1
     averaged = np.zeros((n_out,) + traj.states.shape[1:], dtype=complex)
-    for offset, weight in enumerate(kernel):
-        averaged += weight * traj.states[offset : offset + n_out]
+    block = max(1, _AVERAGE_BLOCK_BYTES // averaged[0].nbytes)
+    buf = np.empty_like(averaged[:block])
+    for start in range(0, n_out, block):
+        acc = averaged[start : start + block]
+        part = buf[: len(acc)]
+        for offset, weight in enumerate(kernel):
+            lo = start + offset
+            np.multiply(weight, traj.states[lo : lo + len(acc)], out=part)
+            acc += part
     meta = dict(traj.meta)
     meta["coarse_grained_tau"] = tau
     return Trajectory(traj.times[half:-half], averaged, meta)

@@ -77,6 +77,14 @@ class TestExitCodes:
         assert code == 3
         assert "at least 2 samples" in capsys.readouterr().err
 
+    def test_validation_error_on_negative_fock(self, capsys):
+        code = main(
+            ["simulate", "--preset", "rabi", "--initial", "fock(-1)*g",
+             "--t1", "0.1ns"]
+        )
+        assert code == 3
+        assert "outside truncation" in capsys.readouterr().err
+
     def test_validation_error_on_zero_step(self, capsys):
         code = main(
             ["simulate", "--preset", "rabi", "--initial", "fock(0)*e",

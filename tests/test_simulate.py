@@ -12,6 +12,7 @@ from stcg.model import (
     load_model,
 )
 from stcg.operators import ModeSpec, parse_operator
+import stcg.simulate as simulate
 from stcg.simulate import (
     GATHER_RATIO,
     NumericalGuardError,
@@ -22,6 +23,7 @@ from stcg.simulate import (
     compare_series,
     expectation_series,
     _generator,
+    _jump_table,
     _left_product,
     _realize,
     _right_product,
@@ -205,6 +207,11 @@ class TestInitialStates:
         with pytest.raises(ValueError):
             build_initial(JC_MODES, "e*fock(0)")
 
+    @pytest.mark.parametrize("n", [-1, -6, 6])
+    def test_fock_outside_truncation(self, n):
+        with pytest.raises(ValueError, match="outside truncation"):
+            build_initial(JC_MODES, f"fock({n})*g")
+
 
 class TestIntegrate:
     def test_zero_generator_is_constant(self):
@@ -385,6 +392,84 @@ class TestGenerator:
         assert not left[1].any() and np.all(right[:, 1] == 1)
 
 
+    def test_jump_table_mixed_with_general_terms(self):
+        # monomial jumps (a^3 empties the top three rows of its product)
+        # beside operator-sum ones, with complex and time-dependent rates
+        g = sp.Symbol("g")
+        modes = (ModeSpec("a", "bosonic", 7), ModeSpec("q", "two_level"))
+        op = lambda text: parse_operator(text, modes)  # noqa: E731
+        x = operator_sum(modes, "a", "a'")
+        eff = lindblad_model(
+            modes,
+            [(g, "0", x), (0.6 * TIME, "w", op("a'*a*sz"))],
+            [
+                ((0.4 + 0.3j) * (1 + g * TIME), "w", op("a^3"), op("a'^2")),
+                (0.2 - 0.1j, "-w", op("a'*sm"), op("a*sp")),
+                (0.7 * TIME, "0", op("sz"), op("a'*a")),
+                (0.3, "w", x, op("a^2*sp")),
+                (0.25j, "0", op("a"), operator_sum(modes, "a'", "sp")),
+            ],
+        )
+        assignment = {"g": 1.3, "w": 2.9}
+        ham, dis, _, dim = _realize(eff, assignment)
+        kinds = [
+            isinstance(left, simulate._Gather)
+            and isinstance(right, simulate._Gather)
+            for left, right, _, _ in dis
+        ]
+        assert kinds == [True, True, True, False, False]
+        rhs = _generator(ham, dis, dim)
+        rho = random_matrix(dim, 7)
+        out = np.empty_like(rho)
+        for t in (0.0, 0.37, 1.9):
+            ref = dense_rhs(eff, assignment, t, rho)
+            err = np.max(np.abs(rhs(t, rho, out) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref))
+        # the monomial part alone: a^3 leaves the top three rows empty
+        table = _jump_table(
+            [(left, right, k) for k, (left, right, _, _) in enumerate(dis[:1])],
+            dim,
+        )
+        out = np.zeros_like(rho)
+        table(np.array([1.0 + 0j]), rho, out)
+        a3 = op("a^3").matrix()
+        assert np.allclose(out, a3 @ rho @ op("a'^2").matrix(), rtol=0,
+                           atol=1e-12)
+        empty = ~(a3 != 0).any(axis=1)
+        assert empty.sum() == 6 and not out[empty].any()
+
+    def test_jump_table_padding_adds_nothing(self):
+        # entry (i, m) with i >= 2 (a'a and a'a'aa non-zero) gets a record
+        # from all three terms and so fills all K = 3 slots; rows 0 and 1
+        # get fewer, padded with weight 0 at input 0, where rho is non-zero
+        modes = (ModeSpec("a", "bosonic", 5), ModeSpec("q", "two_level"))
+        texts = ("a'*a", "a'^2*a^2", "1")
+        mats = [parse_operator(text, modes).matrix() for text in texts]
+        one = parse_operator("1", modes).matrix()
+        counts = sum((mat != 0).astype(int) for mat in mats).diagonal()
+        assert counts.max() == len(texts) and counts.min() < len(texts)
+        jumps = [
+            (_left_product(mat), _right_product(one), k)
+            for k, mat in enumerate(mats)
+        ]
+        dim = len(one)
+        rho = random_matrix(dim, 8)
+        assert rho[0, 0] != 0
+        c = np.array([0.3 - 1.2j, 2.0 + 0.5j, -0.7 + 0.1j])
+        out = np.full_like(rho, 1.0)
+        _jump_table(jumps, dim)(c, rho, out)
+        ref = 1.0 + sum(ck * (mat @ rho) for ck, mat in zip(c, mats))
+        assert np.allclose(out, ref, rtol=0, atol=1e-12)
+
+    def test_jump_table_without_records_is_noop(self):
+        zero = _left_product(np.zeros((4, 4)))
+        out = np.ones((4, 4), dtype=complex)
+        _jump_table([(zero, _right_product(np.eye(4)), 0)], 4)(
+            np.ones(1, dtype=complex), random_matrix(4, 1), out
+        )
+        assert np.all(out == 1)
+
+
 class TestOperatorProducts:
     @pytest.mark.parametrize("text", ["a'^2*a*sp", "a^3*sm", "a'*a*t(e,e)"])
     def test_monomial_gather_equals_dense_product(self, text):
@@ -420,6 +505,33 @@ class TestCoarseGrain:
         out = coarse_grain_trajectory(Trajectory(times, states, {}), tau)
         ref = math.exp(-(w**2) * tau**2 / 2) * np.exp(-1j * w * out.times)
         assert np.max(np.abs(out.states[:, 0, 0] - ref)) < 2e-6
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejects_bad_width(self, tau):
+        times = np.linspace(0, 1, 11)
+        states = np.ones((11, 1, 1), dtype=complex)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            coarse_grain_trajectory(Trajectory(times, states, {}), tau)
+
+    def test_blocks_match_plain_sum(self, monkeypatch):
+        # three frames per block, and n_out = 40 is not a multiple of 3
+        rng = np.random.default_rng(6)
+        dim, n = 3, 70
+        states = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(
+            size=(n, dim, dim)
+        )
+        traj = Trajectory(np.arange(n) * 0.1, states, {})
+        tau = 0.6
+        kernel = simulate._gaussian_kernel(traj.dt, tau)
+        n_out = n - len(kernel) + 1
+        frame = states[0].nbytes
+        monkeypatch.setattr(simulate, "_AVERAGE_BLOCK_BYTES", 3 * frame + 1)
+        assert n_out % 3 != 0
+        plain = np.zeros((n_out, dim, dim), dtype=complex)
+        for offset, weight in enumerate(kernel):
+            plain += weight * states[offset : offset + n_out]
+        out = coarse_grain_trajectory(traj, tau)
+        assert np.array_equal(out.states, plain)
 
     def test_margin_error(self):
         times = np.linspace(0, 0.1, 11)
