@@ -1,9 +1,10 @@
 """Command-line front end: derive effective models, run simulations,
 compare trajectories.
 
-Exit codes: 0 success, 2 usage error, 3 model/validation error,
-4 numerical guard abort.  Artifacts are written atomically (temp file +
-rename) and json output is deterministic (sorted keys).
+Exit codes: 0 success, 2 usage error, 3 model/validation error (including
+a singular limit that does not exist), 4 numerical guard abort.  Artifacts
+are written atomically (temp file + rename) and json output is
+deterministic (sorted keys).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import tempfile
 
 import numpy as np
 
+from .contraction import UnresolvedSingularityError
 from .model import (
     ModelSpec,
     assemble,
@@ -330,7 +332,9 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ValueError, KeyError, OSError) as exc:
+    except (
+        ValueError, KeyError, OSError, UnresolvedSingularityError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

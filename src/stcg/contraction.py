@@ -4,8 +4,14 @@ Each coefficient ``C[l,r](mu, nu)`` weighs a product of ``l`` operators
 acting from the left and ``r`` from the right of the state.  It is a sum
 over the bubble diagrams of :mod:`stcg.diagrams`; each diagram contributes a
 signed product of filter values divided by "vector factorials" (products of
-partial frequency sums).  Vanishing partial sums are handled exactly by a
-regulator expansion, valid for filters with a closed-form profile.
+partial frequency sums).  Where partial sums vanish, every frequency is
+shifted by a distinct integer multiple of a regulator ``eps`` and the
+diagram is expanded as a truncated Laurent series in ``eps``: each factor's
+series is known in closed form (pure poles, geometric series of the
+non-vanishing partial sums, the filter's Taylor coefficients), so the
+expansion is exact rational arithmetic on those coefficients.  The poles
+must cancel in the sum over diagrams, and the finite part is the limit.
+This needs filters with a closed-form profile.
 
 The module also carries a slow, independent numerical oracle
 (:func:`bubble_factor_oracle`) that rebuilds the same coefficients from
@@ -37,10 +43,6 @@ __all__ = [
     "bubble_factor_oracle",
     "numeric_limit_probe",
 ]
-
-#: Regulator used when partial frequency sums vanish exactly.
-EPS = sp.Symbol("_regulator", positive=True)
-
 
 class UnresolvedSingularityError(ArithmeticError):
     """A negative regulator power survived the full diagram sum."""
@@ -96,20 +98,6 @@ def vector_factorial(block: Sequence[FreqExpr]):
         return None, tuple(singular)
     expr = sp.Mul(*(s.to_sympy() for s in sums))
     return expr, ()
-
-
-def _shifted_tuple(
-    freqs: Sequence[FreqExpr], start: int
-) -> list[sp.Expr]:
-    """Sympy images of ``freqs`` with a distinct regulator added to each entry.
-
-    Powers of two make every partial sum carry a non-zero regulator
-    coefficient, so all denominators become invertible before the limit.
-    """
-    return [
-        w.to_sympy() + sp.Integer(2 ** (start + i)) * EPS
-        for i, w in enumerate(freqs)
-    ]
 
 
 def _vfac_sympy(block: Sequence[sp.Expr]) -> sp.Expr:
@@ -174,43 +162,85 @@ def regularize_singular(
     diagram: Diagram,
     freqs: FrequencyTuple,
     filter_spec: FilterSpec,
-) -> sp.Expr:
-    """Regulated contribution of a singular diagram.
+) -> dict[int, sp.Expr]:
+    """Laurent coefficients of a singular diagram in the regulator ``eps``.
 
-    The result is a Laurent polynomial in the regulator symbol through order
-    zero.  A single diagram may keep negative regulator powers; those cancel
-    only in the sum over all diagrams of the coefficient, which
-    :func:`contraction_coefficient` verifies before dropping the regulator.
+    Entry ``i`` of ``mu + nu`` is shifted by ``2**i * eps``, so every partial
+    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagram is then
+    a product of factors whose truncated power series are known exactly: a
+    vanishing partial sum is a pole ``1/(b*eps)``, any other one the
+    geometric series of ``1/(a + b*eps)``, the prefactor ``a + b*eps`` itself
+    and each bubble filter its Taylor series at the unshifted bubble
+    frequency.  Returns ``{power: coefficient}`` for the powers from minus
+    the pole count through zero.  A single diagram may keep negative powers;
+    those cancel only in the sum over all diagrams of the coefficient, which
+    :func:`contraction_coefficient` verifies before keeping the finite part.
     """
     if not filter_spec.symbolic:
         raise UnresolvedSingularityError(
             "evaluate-only filters cannot regulate singular frequency tuples"
         )
-    mu = _shifted_tuple(freqs.mu, 0)
-    nu = _shifted_tuple(freqs.nu, len(freqs.mu))
-    expr = _diagram_expr(diagram, mu, nu, filter_spec)
-    # Tiny float constants (numeric tau) derail sympy's series zero
-    # detection; expand over exact rationals instead.  The result stays
-    # rational, which also keeps the pole-cancellation check exact.
-    if expr.has(sp.Float):
-        expr = sp.nsimplify(expr, rational=True)
-    series = sp.expand(expr.series(EPS, 0, 1).removeO())
-    # The expansion may leave the regulator buried in unfactored Add
-    # denominators; pull it out so Laurent coefficients are extractable.
-    # (No further expand() after this: it would re-absorb the regulator.)
-    series = series.replace(
-        lambda e: (
-            e.is_Pow
-            and e.exp.is_Integer
-            and e.exp < 0
-            and e.base.is_Add
-            and e.base.has(EPS)
-        ),
-        lambda e: sp.expand_power_base(
-            sp.factor_terms(e.base) ** e.exp, force=True
-        ),
+    left = len(freqs.mu)
+    mu = list(zip(freqs.mu, (2**i for i in range(left))))
+    nu = list(zip(freqs.nu, (2 ** (left + i) for i in range(len(freqs.nu)))))
+    poles = 0
+    scale = sp.Integer(-1) ** (len(nu) + diagram.size - 1)
+    sums = []  # (a, b) of each non-vanishing partial sum a + b*eps
+    bubbles = []  # (frequency, regulator multiple) of each bubble filter
+    li = ri = 0
+    for bubble in diagram:
+        mblock = mu[li : li + bubble.left]
+        nblock = nu[ri : ri + bubble.right]
+        li += bubble.left
+        ri += bubble.right
+        for block in (mblock, nblock):
+            for a, b in _shifted_partial_sums(block):
+                if a.is_zero:
+                    poles += 1
+                    scale /= b
+                else:
+                    sums.append((a.to_sympy(), b))
+        bubbles.append(_shifted_sum(mblock + nblock))
+    # The prefactor is the last partial sum of the final left block, so a
+    # vanishing prefactor cancels one of the poles counted above.
+    a, b = _shifted_sum(mblock)
+    if a.is_zero:
+        poles -= 1
+        scale *= b
+
+    n = poles + 1
+    factors = [
+        [sp.Integer(-b) ** k / a ** (k + 1) for k in range(n)] for a, b in sums
+    ]
+    for freq, c in bubbles:
+        taylor = filter_spec.taylor(freq.to_sympy(), n)
+        factors.append([t * c**k for k, t in enumerate(taylor)])
+    if not a.is_zero:
+        factors.append([a.to_sympy(), sp.Integer(b)])
+    series = [scale] + [sp.Integer(0)] * poles
+    for factor in factors:
+        series = _truncated_product(series, factor, n)
+    return {k - poles: coeff for k, coeff in enumerate(series)}
+
+
+def _shifted_sum(block) -> tuple[FreqExpr, int]:
+    return (
+        sum((w for w, _ in block), FreqExpr.zero()),
+        sum(m for _, m in block),
     )
-    return series
+
+
+def _shifted_partial_sums(block) -> list[tuple[FreqExpr, int]]:
+    return [_shifted_sum(block[: k + 1]) for k in range(len(block))]
+
+
+def _truncated_product(x: list, y: list, n: int) -> list:
+    """First ``n`` coefficients of the product of two power series; ``x``
+    has ``n`` coefficients, ``y`` at most ``n``."""
+    return [
+        sp.Add(*(x[i] * y[k - i] for i in range(max(0, k + 1 - len(y)), k + 1)))
+        for k in range(n)
+    ]
 
 
 _COEFF_CACHE: dict = {}
@@ -222,8 +252,9 @@ def contraction_coefficient(
     """Closed-form coefficient ``C[l,r](mu, nu)`` as a sympy expression.
 
     Results are memoized on the frequency tuple and filter.  Singular
-    diagrams are summed as regulator series; surviving negative powers raise
-    :class:`UnresolvedSingularityError`, otherwise the finite part is exact.
+    diagrams are summed as truncated Laurent series in the regulator;
+    surviving negative powers raise :class:`UnresolvedSingularityError`,
+    otherwise the finite part is exact.
     """
     key = (freqs, filter_spec.cache_key())
     hit = _COEFF_CACHE.get(key)
@@ -238,35 +269,26 @@ def _compute_coefficient(
 ) -> sp.Expr:
     left, right = freqs.weight
     regular_total = sp.Integer(0)
-    series_total = sp.Integer(0)
-    singular = False
+    laurent: dict[int, sp.Expr] = {}
     for diagram in enumerate_diagrams(left, right):
         try:
             regular_total += diagram_contribution(diagram, freqs, filter_spec)
         except ZeroDivisionError:
-            singular = True
-            series_total += regularize_singular(diagram, freqs, filter_spec)
-    if singular:
-        poles = _pole_part(series_total)
-        if poles:
-            raise UnresolvedSingularityError(
-                f"regulator poles survive in C{freqs.weight}: {poles}"
-            )
-        regular_total += series_total.coeff(EPS, 0)
-    return sp.expand(regular_total)
-
-
-def _pole_part(series: sp.Expr) -> list[tuple[int, sp.Expr]]:
-    """Non-cancelling negative regulator powers of an expanded series."""
+            terms = regularize_singular(diagram, freqs, filter_spec)
+            for power, coeff in terms.items():
+                laurent[power] = laurent.get(power, sp.Integer(0)) + coeff
     poles = []
-    for order in range(1, 64):
-        coeff = series.coeff(EPS, -order)
-        if coeff == 0:
-            continue
-        coeff = sp.simplify(coeff)
-        if coeff != 0:
-            poles.append((-order, coeff))
-    return poles
+    for power in sorted((p for p in laurent if p < 0), reverse=True):
+        residue = sp.expand(laurent[power])
+        if residue != 0:
+            residue = sp.simplify(residue)
+        if residue != 0:
+            poles.append((power, residue))
+    if poles:
+        raise UnresolvedSingularityError(
+            f"regulator poles survive in C{freqs.weight}: {poles}"
+        )
+    return sp.expand(regular_total + laurent.get(0, sp.Integer(0)))
 
 
 def symmetry_check(

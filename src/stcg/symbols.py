@@ -32,6 +32,9 @@ TAU = sp.Symbol("tau", positive=True)
 #: Laboratory time.
 TIME = sp.Symbol("t", real=True)
 
+#: Variable of the memoised filter Taylor coefficients.
+_TAYLOR_VAR = sp.Dummy("x")
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 _TERM_RE = re.compile(
@@ -237,8 +240,29 @@ class FilterSpec:
     #: expanded in a regulator; False for evaluate-only filters.
     symbolic: bool = False
 
+    def __init__(self):
+        self._taylor: list[sp.Expr] = []
+
     def profile(self, freq: sp.Expr) -> sp.Expr:
         raise NotImplementedError
+
+    def taylor(self, freq: sp.Expr, n: int) -> list[sp.Expr]:
+        """First ``n`` Taylor coefficients ``g^(k)(freq)/k!`` of the profile.
+
+        Float constants of the profile (a numeric ``tau``) are made exact
+        rationals once, before differentiating, so expansions built from
+        these coefficients cancel exactly.  The coefficients are kept as
+        expressions in a dummy variable, extended on demand.
+        """
+        memo = self._taylor
+        if not memo:
+            g = self.profile(_TAYLOR_VAR)
+            if g.has(sp.Float):
+                g = sp.nsimplify(g, rational=True)
+            memo.append(g)
+        while len(memo) < n:
+            memo.append(sp.diff(memo[-1], _TAYLOR_VAR) / len(memo))
+        return [t.xreplace({_TAYLOR_VAR: freq}) for t in memo[:n]]
 
     def __call__(self, freq) -> sp.Expr:
         if isinstance(freq, FreqExpr):
@@ -265,10 +289,13 @@ class GaussianFilter(FilterSpec):
     symbolic = True
 
     def __init__(self, tau=TAU):
+        super().__init__()
         if isinstance(tau, numbers.Real) and not isinstance(tau, numbers.Integral):
             tau = sp.Float(tau)
         else:
             tau = sp.sympify(tau)
+        if tau.is_number and not tau.is_finite:
+            raise ValueError(f"filter time scale must be finite, got {tau}")
         if tau.is_number and tau.is_negative:
             raise ValueError("filter time scale must be non-negative")
         self.tau = tau
@@ -294,6 +321,7 @@ class TableFilter(FilterSpec):
     _count = 0
 
     def __init__(self, points: Iterable[tuple[float, float]]):
+        super().__init__()
         pts = sorted((float(w), float(v)) for w, v in points)
         if len(pts) < 2:
             raise ValueError("table filter needs at least two sample points")

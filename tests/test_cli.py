@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from stcg import cli
 from stcg.cli import main
+from stcg.contraction import UnresolvedSingularityError
 
 JC_DOC = {
     "name": "jc",
@@ -22,7 +27,8 @@ JC_DOC = {
 }
 
 
-BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+REPO = Path(__file__).resolve().parents[1]
+BENCH_DATA = REPO / "perfbench" / "data"
 
 
 @pytest.fixture
@@ -93,6 +99,23 @@ class TestExitCodes:
         assert code == 3
         assert "step must be finite and > 0" in capsys.readouterr().err
 
+    def test_validation_error_on_unresolved_singularity(
+        self, monkeypatch, capsys
+    ):
+        def diverging(model, order):
+            raise UnresolvedSingularityError("regulator poles survive")
+
+        monkeypatch.setattr(cli, "assemble", diverging)
+        assert main(["derive", "--preset", "rabi", "--order", "2"]) == 3
+        assert "error: regulator poles survive" in capsys.readouterr().err
+
+    def test_validation_error_on_non_finite_tau(self, capsys):
+        code = main(
+            ["derive", "--preset", "rabi", "--order", "2", "--tau=1e400ns"]
+        )
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestDerive:
     def test_json_stdout(self, model_path, capsys):
@@ -138,6 +161,26 @@ class TestDerive:
         ) == 0
         stored = BENCH_DATA / "rabi_order1.json"
         assert out.read_bytes() == stored.read_bytes()
+
+    def test_rabi_order3_matches_stored_export(self, tmp_path):
+        # the order-3 rabi model the benchmark integrates, byte for byte
+        out = tmp_path / "rabi3.json"
+        assert main(
+            ["derive", "--preset", "rabi", "--order", "3", "-o", str(out)]
+        ) == 0
+        stored = BENCH_DATA / "rabi_order3.json"
+        assert out.read_bytes() == stored.read_bytes()
+
+    def test_python_m_stcg_from_checkout(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "stcg", "derive", "--preset", "rabi",
+             "--order", "1"],
+            cwd=REPO, env=env, capture_output=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        stored = BENCH_DATA / "rabi_order1.json"
+        assert run.stdout == stored.read_bytes()
 
     def test_preset_derive(self, capsys):
         assert main(["derive", "--preset", "rabi", "--order", "1"]) == 0

@@ -5,16 +5,21 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from stcg import contraction
 from stcg.contraction import (
     FrequencyTuple,
     UnresolvedSingularityError,
+    _diagram_expr,
     bubble_factor_oracle,
     contraction_coefficient,
+    diagram_contribution,
     gaussian_shift_coefficient,
     numeric_limit_probe,
+    regularize_singular,
     symmetry_check,
     vector_factorial,
 )
+from stcg.diagrams import enumerate_diagrams
 from stcg.symbols import TAU, FreqExpr, GaussianFilter, TableFilter, scalar_eval
 
 W = FreqExpr.symbol("w")
@@ -90,6 +95,94 @@ class TestSingularTuples:
             contraction_coefficient(
                 FrequencyTuple((FreqExpr.zero(), W)), table
             )
+
+
+EPS = sp.Symbol("eps", positive=True)
+Z = FreqExpr.zero()
+
+# Singular tuples per weight: vanishing entries, opposite pairs and sums.
+SINGULAR_TUPLES = {
+    (1, 0): [((Z,), ())],
+    (2, 0): [((Z, W), ()), ((W, -W), ()), ((Z, Z), ())],
+    (1, 1): [((Z,), (W,)), ((W,), (-W,)), ((W,), (Z,))],
+    (3, 0): [((W, -W, V), ()), ((Z, Z, W), ()), ((W, Z, -W), ())],
+    (2, 1): [((W, -W), (V,)), ((Z, W), (-W,)), ((W, V), (-W - V,))],
+    (1, 2): [((W,), (-W, V)), ((Z,), (W, -W)), ((W,), (V, -W - V))],
+}
+
+
+def _series_reference(diagram, freqs, filter_spec):
+    """The diagram with entry i of ``mu + nu`` shifted by ``2**i * EPS``,
+    expanded by sympy's generic ``series`` through ``EPS**0``."""
+    shifted = [
+        w.to_sympy() + 2**i * EPS for i, w in enumerate(freqs.mu + freqs.nu)
+    ]
+    left = len(freqs.mu)
+    expr = _diagram_expr(diagram, shifted[:left], shifted[left:], filter_spec)
+    if expr.has(sp.Float):
+        expr = sp.nsimplify(expr, rational=True)
+    series = sp.expand(expr.series(EPS, 0, 1).removeO())
+    # Pull the regulator out of unexpanded Add denominators so that
+    # coeff() sees every power of it.
+    return series.replace(
+        lambda e: (
+            e.is_Pow
+            and e.exp.is_Integer
+            and e.exp < 0
+            and e.base.is_Add
+            and e.base.has(EPS)
+        ),
+        lambda e: sp.expand_power_base(
+            sp.factor_terms(e.base) ** e.exp, force=True
+        ),
+    )
+
+
+def _singular_diagrams(freqs):
+    for diagram in enumerate_diagrams(*freqs.weight):
+        try:
+            diagram_contribution(diagram, freqs, GAUSS)
+        except ZeroDivisionError:
+            yield diagram
+
+
+class TestLaurentKernel:
+    @pytest.mark.parametrize("tau", [TAU, 0.26e-9], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize(
+        "weight", sorted(SINGULAR_TUPLES), ids=lambda w: f"{w[0]}-{w[1]}"
+    )
+    def test_matches_sympy_series(self, weight, tau):
+        filt = GaussianFilter(tau)
+        checked = 0
+        for mu, nu in SINGULAR_TUPLES[weight]:
+            freqs = FrequencyTuple(mu, nu)
+            for diagram in _singular_diagrams(freqs):
+                terms = regularize_singular(diagram, freqs, filt)
+                assert max(terms) == 0 and min(terms) >= -sum(weight)
+                reference = _series_reference(diagram, freqs, filt)
+                for power in range(min(terms) - 1, 1):
+                    diff = terms.get(power, 0) - reference.coeff(EPS, power)
+                    assert sp.simplify(diff) == 0, (diagram, freqs, power)
+                checked += 1
+        assert checked >= len(SINGULAR_TUPLES[weight])
+
+    def test_single_diagram_pole_cancels_in_sum(self, monkeypatch):
+        freqs = FrequencyTuple((Z, Z))
+        residues = [
+            sp.expand(regularize_singular(d, freqs, GAUSS).get(-1, 0))
+            for d in _singular_diagrams(freqs)
+        ]
+        assert any(r != 0 for r in residues)
+        assert sp.expand(sum(residues)) == 0
+        assert contraction_coefficient(freqs, GAUSS) == 0
+
+        # Without the partner diagram the pole survives and is reported.
+        lone = next(_singular_diagrams(freqs))
+        monkeypatch.setattr(
+            contraction, "enumerate_diagrams", lambda left, right: (lone,)
+        )
+        with pytest.raises(UnresolvedSingularityError, match="poles survive"):
+            contraction._compute_coefficient(freqs, GAUSS)
 
 
 class TestVectorFactorial:

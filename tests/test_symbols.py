@@ -82,6 +82,29 @@ class TestGaussianFilter:
         with pytest.raises(ValueError):
             GaussianFilter(-1.0)
 
+    @pytest.mark.parametrize(
+        "tau",
+        [math.inf, -math.inf, math.nan, sp.oo, sp.nan],
+        ids=["inf", "-inf", "nan", "sympy-oo", "sympy-nan"],
+    )
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianFilter(tau)
+
+    @pytest.mark.parametrize(
+        "tau", [TAU, 0.26e-9, 0], ids=["symbolic", "numeric", "zero"]
+    )
+    def test_taylor_coefficients(self, tau):
+        f = GaussianFilter(tau)
+        ws, eps = sp.Symbol("w", real=True), sp.Symbol("eps")
+        profile = sp.nsimplify(f.profile(ws + eps), rational=True)
+        ref = sp.expand(profile.series(eps, 0, 5).removeO())
+        coeffs = f.taylor(ws, 5)
+        assert not any(c.has(sp.Float) for c in coeffs)
+        for k, c in enumerate(coeffs):
+            assert sp.simplify(c - ref.coeff(eps, k)) == 0
+        assert f.taylor(ws, 2) == coeffs[:2]
+
 
 class TestTableFilter:
     def test_interpolation(self):
