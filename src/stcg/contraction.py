@@ -243,24 +243,21 @@ def _truncated_product(x: list, y: list, n: int) -> list:
     ]
 
 
-_COEFF_CACHE: dict = {}
-
-
 def contraction_coefficient(
     freqs: FrequencyTuple, filter_spec: FilterSpec
 ) -> sp.Expr:
     """Closed-form coefficient ``C[l,r](mu, nu)`` as a sympy expression.
 
-    Results are memoized on the frequency tuple and filter.  Singular
-    diagrams are summed as truncated Laurent series in the regulator;
-    surviving negative powers raise :class:`UnresolvedSingularityError`,
-    otherwise the finite part is exact.
+    Results are memoized per frequency tuple on the filter instance
+    (:attr:`FilterSpec.coefficients`), so they live as long as the filter.
+    Singular diagrams are summed as truncated Laurent series in the
+    regulator; surviving negative powers raise
+    :class:`UnresolvedSingularityError`, otherwise the finite part is exact.
     """
-    key = (freqs, filter_spec.cache_key())
-    hit = _COEFF_CACHE.get(key)
+    memo = filter_spec.coefficients
+    hit = memo.get(freqs)
     if hit is None:
-        hit = _compute_coefficient(freqs, filter_spec)
-        _COEFF_CACHE[key] = hit
+        hit = memo[freqs] = _compute_coefficient(freqs, filter_spec)
     return hit
 
 
@@ -277,18 +274,55 @@ def _compute_coefficient(
             terms = regularize_singular(diagram, freqs, filter_spec)
             for power, coeff in terms.items():
                 laurent[power] = laurent.get(power, sp.Integer(0)) + coeff
-    poles = []
-    for power in sorted((p for p in laurent if p < 0), reverse=True):
-        residue = sp.expand(laurent[power])
-        if residue != 0:
-            residue = sp.simplify(residue)
-        if residue != 0:
-            poles.append((power, residue))
+    poles = [
+        (power, laurent[power])
+        for power in sorted((p for p in laurent if p < 0), reverse=True)
+        if not _vanishes(laurent[power])
+    ]
     if poles:
         raise UnresolvedSingularityError(
             f"regulator poles survive in C{freqs.weight}: {poles}"
         )
     return sp.expand(regular_total + laurent.get(0, sp.Integer(0)))
+
+
+def _vanishes(expr: sp.Expr) -> bool:
+    """Exact zero test: ``expand``, with ``simplify`` as the fallback.
+
+    ``simplify`` is skipped where ``expand`` already decides: it is
+    canonical on polynomials, and a product of plain factors other than 0
+    cannot vanish.
+    """
+    if expr == 0:
+        return True
+    if _is_plain_product(expr):
+        return False
+    expr = sp.expand(expr)
+    if expr == 0:
+        return True
+    if expr.is_polynomial() or _is_plain_product(expr):
+        return False
+    return sp.simplify(expr) == 0
+
+
+def _is_plain_product(expr: sp.Expr) -> bool:
+    return all(_is_plain(f) for f in sp.Mul.make_args(expr))
+
+
+def _is_plain(factor: sp.Expr) -> bool:
+    """True for an atom, an atom to an atomic power, or ``exp`` of a
+    product of such factors: ``expand`` leaves it as it is, and unless it
+    is the number 0 it does not vanish."""
+    if factor.is_Atom:
+        return True
+    if factor.is_Pow:
+        return factor.base.is_Atom and factor.exp.is_Atom
+    if factor.func is sp.exp:
+        return all(
+            f.is_Atom or (f.is_Pow and f.base.is_Atom and f.exp.is_Atom)
+            for f in sp.Mul.make_args(factor.args[0])
+        )
+    return False
 
 
 def symmetry_check(

@@ -5,8 +5,9 @@ A :class:`ModelSpec` lists interaction-picture Hamiltonian terms
 products of these terms into an :class:`EffectiveModel`: a corrected
 Hamiltonian plus pseudo-dissipators, with coefficients built from the
 closed-form contraction coefficients.  Linearly ramped amplitudes are
-encoded as pairs of frequency-shifted static terms and resolved after
-assembly by a series limit in the shift regulator.
+encoded as pairs of frequency-shifted static terms; after assembly the
+shift regulator goes to zero through an exact truncated Laurent series in
+the shift, and the constant term is kept.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import sympy as sp
 from .contraction import (
     FrequencyTuple,
     UnresolvedSingularityError,
+    _is_plain_product,
+    _truncated_product,
+    _vanishes,
     contraction_coefficient,
 )
 from .operators import (
@@ -126,7 +130,7 @@ class ModelSpec:
                 if (
                     cand.freq == partner.freq
                     and cand.op == partner.op
-                    and sp.simplify(cand.coeff - partner.coeff) == 0
+                    and _vanishes(cand.coeff - partner.coeff)
                 ):
                     remaining.pop(i)
                     break
@@ -155,7 +159,7 @@ def _is_self_conjugate(term: HamiltonianTermSpec) -> bool:
     return (
         partner.freq == term.freq
         and partner.op == term.op
-        and sp.simplify(partner.coeff - term.coeff) == 0
+        and _vanishes(partner.coeff - term.coeff)
     )
 
 
@@ -293,6 +297,12 @@ def load_model(document, auto_conjugates: bool = False) -> ModelSpec:
     locs = _coupling_locals(params)
     ramps = document.get("ramps", [])
     regulator = document.get("regulator", RAMP_REGULATOR) if ramps else None
+    durations = {ramp["duration"] for ramp in ramps}
+    if regulator in set(params) | durations | {TIME.name, TAU.name}:
+        raise ValueError(
+            f"regulator {regulator!r} is already a model symbol; choose "
+            "another name"
+        )
     terms = []
     for entry in document.get("terms", []):
         coeff = sp.sympify(entry["coupling"], locals=locs)
@@ -346,7 +356,7 @@ def _complete_conjugates(model: ModelSpec) -> ModelSpec:
         found = any(
             cand.freq == partner.freq
             and cand.op == partner.op
-            and sp.simplify(cand.coeff - partner.coeff) == 0
+            and _vanishes(cand.coeff - partner.coeff)
             for cand in terms
             if cand is not term
         )
@@ -376,9 +386,10 @@ def encode_linear_ramp(
 
     ``g*(t/T)*exp(-i*w*t)`` is the limit of ``(i*g/(2*d*T)) *
     [exp(-i*(w+d)*t) - exp(-i*(w-d)*t)]`` as the shift ``d`` goes to zero;
-    the limit is taken after assembly (series in ``d``, keeping the
-    constant part).  The symmetric split keeps the encoded term list
-    exactly Hermitian at finite shift, not just in the limit.
+    the limit is taken after assembly (the constant term of the merged
+    coefficient's truncated Laurent series in ``d``).  The symmetric split
+    keeps the encoded term list exactly Hermitian at finite shift, not just
+    in the limit.
     """
     shift = sp.Symbol(regulator, real=True)
     if shift in term.coeff.free_symbols:
@@ -395,14 +406,24 @@ def _ramp_limit(groups: Mapping, regulator: str | None):
     """Take the regulator -> 0 limit groupwise.
 
     ``groups`` maps a merge key to a list of ``(coeff, shift_multiple)``
-    pairs; the combined coefficient including the residual phase
-    ``exp(-i*m*shift*t)`` is expanded in the shift and the constant term
-    kept.  Surviving negative powers mean the ramp limit does not exist.
-    Without a regulator the shift is 0, every phase is 1 and the pieces are
-    simply summed.  Zero results are dropped.
+    pairs.  Without a regulator the pieces are summed term by term.  With
+    one, the combined coefficient including the residual phase
+    ``exp(-i*m*shift*t)`` is expanded as a truncated Laurent series in the
+    shift (:class:`_ShiftSeries`) and the constant term kept; a negative
+    power that does not vanish means the ramp limit does not exist.  Zero
+    results are dropped.
     """
-    shift = sp.Symbol(regulator, real=True) if regulator else sp.Integer(0)
     out = {}
+    if regulator is None:
+        for key, pieces in groups.items():
+            value = sp.Add(
+                *(t for coeff, _ in pieces for t in _expanded_terms(coeff))
+            )
+            if value != 0:
+                out[key] = value
+        return out
+    shift = sp.Symbol(regulator, real=True)
+    kernel = _ShiftSeries(shift)
     for key, pieces in groups.items():
         combined = sp.Add(
             *(
@@ -410,21 +431,185 @@ def _ramp_limit(groups: Mapping, regulator: str | None):
                 for coeff, m in pieces
             )
         )
-        if shift not in combined.free_symbols:
-            value = combined
-        else:
-            series = combined.series(shift, 0, 1).removeO()
-            series = sp.expand(series)
-            for order in range(1, 32):
-                pole = series.coeff(shift, -order)
-                if pole != 0 and sp.simplify(pole) != 0:
-                    raise UnresolvedSingularityError(
-                        f"ramp limit diverges (shift^-{order}) for term {key}"
-                    )
-            value = series.coeff(shift, 0)
-        value = sp.expand(value)
+        try:
+            low = kernel.low(combined)
+            coeffs = kernel.laurent(combined, 1)
+        except _NotExpandable as exc:
+            raise UnresolvedSingularityError(
+                f"ramp limit: {exc} for term {key}"
+            ) from None
+        for power in range(-1, low - 1, -1):
+            if not _vanishes(coeffs[power - low]):
+                raise UnresolvedSingularityError(
+                    f"ramp limit diverges (shift^{power}) for term {key}"
+                )
+        value = sp.Add(*_expanded_terms(coeffs[-low])) if low <= 0 else 0
         if value != 0:
             out[key] = value
+    return out
+
+
+def _expanded_terms(expr: sp.Expr) -> list:
+    """The terms of ``sp.expand(expr)``, for an ``expr`` whose factors are
+    already expanded apart from products with sums.
+
+    Products are multiplied out term by term.  Only a term with a factor
+    that ``expand`` would still rewrite (not plain, see
+    :func:`stcg.contraction._is_plain`: a power of a sum, such as a
+    non-atomic denominator, or another compound factor) goes through
+    ``sp.expand``, alone: ``expand`` moves numeric factors into such
+    denominators, and the exported forms keep that.
+    """
+    out = []
+    for term in _distributed(expr):
+        if _is_plain_product(term):
+            out.append(term)
+        else:
+            out.extend(sp.Add.make_args(sp.expand(term)))
+    return out
+
+
+def _distributed(expr: sp.Expr) -> list:
+    if expr.is_Add:
+        return [t for arg in expr.args for t in _distributed(arg)]
+    if expr.is_Mul:
+        terms = [sp.Integer(1)]
+        for factor in expr.args:
+            parts = _distributed(factor) if factor.is_Add else (factor,)
+            terms = [t * p for t in terms for p in parts]
+        return terms
+    return [expr]
+
+
+class _NotExpandable(ValueError):
+    """A factor has no Laurent series the kernel can build."""
+
+
+#: How many orders past its lower bound the leading term of an inverted sum
+#: is searched for before the sum is taken to vanish.
+_MAX_LEADING_SEARCH = 8
+
+
+class _ShiftSeries:
+    """Exact truncated Laurent series in one symbol, the ramp shift.
+
+    ``laurent(expr, prec)`` returns the coefficients of ``shift**low(expr)``
+    through ``shift**(prec - 1)``, built factor by factor:
+
+    - a factor free of the shift is a constant, ``shift**k`` a pure power;
+    - ``exp(a0 + r(shift))`` is ``exp(a0)`` times the exponential series of
+      the remainder ``r``, which must vanish at zero shift;
+    - ``sum**k`` is a truncated power for ``k > 0``; for ``k < 0`` the sum's
+      leading coefficient is found by exact zero tests and the series
+      inverted, so a sum that vanishes at zero shift gives a pole of that
+      order;
+    - sums and products combine with :func:`_truncated_product`.
+
+    ``low(expr)`` is a lower bound of the valuation (exact for an inverted
+    sum).  Results are memoised for the lifetime of one instance.
+    """
+
+    def __init__(self, shift: sp.Symbol):
+        self.shift = shift
+        self._low: dict = {}
+        self._laurent: dict = {}
+
+    def low(self, expr: sp.Expr) -> int:
+        hit = self._low.get(expr)
+        if hit is None:
+            hit = self._low[expr] = self._compute_low(expr)
+        return hit
+
+    def _compute_low(self, expr: sp.Expr) -> int:
+        if not expr.has(self.shift):
+            return 0
+        if expr == self.shift:
+            return 1
+        if expr.is_Add:
+            return min(self.low(arg) for arg in expr.args)
+        if expr.is_Mul:
+            return sum(self.low(arg) for arg in expr.args)
+        if expr.is_Pow and expr.exp.is_Integer:
+            if expr.exp > 0 or expr.base == self.shift:
+                return int(expr.exp) * self.low(expr.base)
+            return int(expr.exp) * self._leading_power(expr.base)
+        if expr.func is sp.exp:
+            if self.low(expr.args[0]) < 0:
+                raise _NotExpandable(f"essential singularity in {expr}")
+            return 0
+        raise _NotExpandable(f"cannot expand {expr} in {self.shift}")
+
+    def _leading_power(self, expr: sp.Expr) -> int:
+        """Power of the first coefficient of ``expr`` that is not zero."""
+        low = self.low(expr)
+        for power in range(low, low + _MAX_LEADING_SEARCH):
+            if not _vanishes(self.laurent(expr, power + 1)[-1]):
+                return power
+        raise _NotExpandable(f"no leading term found for {expr}")
+
+    def laurent(self, expr: sp.Expr, prec: int) -> list:
+        key = (expr, prec)
+        hit = self._laurent.get(key)
+        if hit is None:
+            n = prec - self.low(expr)
+            hit = self._laurent[key] = self._compute(expr, n) if n > 0 else []
+        return hit
+
+    def _compute(self, expr: sp.Expr, n: int) -> list:
+        zeros = [sp.Integer(0)] * (n - 1)
+        if not expr.has(self.shift):
+            return [expr] + zeros
+        if expr == self.shift or (expr.is_Pow and expr.base == self.shift):
+            return [sp.Integer(1)] + zeros
+        if expr.is_Add:
+            low = self.low(expr)
+            columns = [[] for _ in range(n)]
+            for arg in expr.args:
+                offset = self.low(arg) - low
+                for i, c in enumerate(self.laurent(arg, low + n)):
+                    columns[offset + i].append(c)
+            return [sp.Add(*col) for col in columns]
+        if expr.is_Mul:
+            const, varying = [], []
+            for arg in expr.args:
+                (varying if arg.has(self.shift) else const).append(arg)
+            out = [sp.Mul(*const)] + zeros
+            for factor in varying:
+                out = _truncated_product(
+                    out, self.laurent(factor, self.low(factor) + n), n
+                )
+            return out
+        if expr.is_Pow:
+            base, k = expr.base, int(expr.exp)
+            if k > 0:
+                factor = self.laurent(base, self.low(base) + n)
+            else:
+                v = self.low(expr) // k  # exact for an inverted sum
+                lead = self.laurent(base, v + n)[v - self.low(base) :]
+                factor = _inverse_series(lead)
+            out = factor
+            for _ in range(abs(k) - 1):
+                out = _truncated_product(out, factor, n)
+            return out
+        # exp(a0 + r(shift)): exp(a0) times the exponential series of r.
+        arg = self.laurent(expr.args[0], n)
+        arg = [sp.Integer(0)] * self.low(expr.args[0]) + arg
+        out = [sp.Integer(1)]
+        for m in range(1, n):
+            out.append(
+                sp.Add(*(j * arg[j] * out[m - j] for j in range(1, m + 1))) / m
+            )
+        scale = sp.exp(arg[0])
+        return [scale * c for c in out]
+
+
+def _inverse_series(c: list) -> list:
+    """Coefficients of ``1 / sum(c[i] * x**i)``, with ``c[0] != 0``."""
+    inv = 1 / c[0]
+    out = [inv]
+    for m in range(1, len(c)):
+        tail = sp.Add(*(c[i] * out[m - i] for i in range(1, m + 1)))
+        out.append(-inv * tail)
     return out
 
 

@@ -242,6 +242,10 @@ class FilterSpec:
 
     def __init__(self):
         self._taylor: list[sp.Expr] = []
+        #: Contraction coefficients computed with this filter, keyed by
+        #: frequency tuple (see
+        #: :func:`stcg.contraction.contraction_coefficient`).
+        self.coefficients: dict = {}
 
     def profile(self, freq: sp.Expr) -> sp.Expr:
         raise NotImplementedError
@@ -272,9 +276,6 @@ class FilterSpec:
             return sp.Integer(1)
         return self.profile(freq)
 
-    def cache_key(self):
-        raise NotImplementedError
-
     def eval_atoms(self, expr: sp.Expr) -> sp.Expr:
         """Replace any opaque filter atoms in ``expr`` by numbers."""
         return expr
@@ -302,9 +303,6 @@ class GaussianFilter(FilterSpec):
 
     def profile(self, freq: sp.Expr) -> sp.Expr:
         return sp.exp(-(freq**2) * self.tau**2 / 2)
-
-    def cache_key(self):
-        return ("gaussian", self.tau)
 
     def __repr__(self):
         return f"GaussianFilter(tau={self.tau})"
@@ -365,9 +363,6 @@ class TableFilter(FilterSpec):
                     )
                 replacements[atom] = sp.Float(self.value_at(float(arg)))
         return expr.xreplace(replacements) if replacements else expr
-
-    def cache_key(self):
-        return ("table", self.points)
 
     def __repr__(self):
         return f"TableFilter({len(self.points)} points)"

@@ -109,6 +109,26 @@ class TestExitCodes:
         assert main(["derive", "--preset", "rabi", "--order", "2"]) == 3
         assert "error: regulator poles survive" in capsys.readouterr().err
 
+    def test_validation_error_on_regulator_named_like_a_symbol(
+        self, tmp_path, capsys
+    ):
+        doc = {
+            "name": "ramped-pump",
+            "modes": [{"name": "a", "kind": "bosonic", "truncation": 3}],
+            "symbols": {"wp": None, "beta0": None},
+            "ramps": [{"symbol": "beta0", "duration": "T"}],
+            "regulator": "wp",
+            "terms": [
+                {"coupling": "beta0", "frequency": "2*wp", "operator": "a^2"},
+                {"coupling": "beta0", "frequency": "-2*wp",
+                 "operator": "a'^2"},
+            ],
+        }
+        path = tmp_path / "pump.json"
+        path.write_text(json.dumps(doc))
+        assert main(["derive", "--model", str(path), "--order", "1"]) == 3
+        assert "regulator 'wp'" in capsys.readouterr().err
+
     def test_validation_error_on_non_finite_tau(self, capsys):
         code = main(
             ["derive", "--preset", "rabi", "--order", "2", "--tau=1e400ns"]

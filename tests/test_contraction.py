@@ -53,6 +53,18 @@ class TestClosedForms:
         b = contraction_coefficient(FrequencyTuple((W, V)), GAUSS)
         assert a is b
 
+    def test_memo_belongs_to_the_filter(self):
+        # Two tables with equal points carry distinct filter atoms; the
+        # second must not receive the first one's coefficient.
+        points = [(-10.0, 0.8), (0.0, 1.0), (10.0, 0.8)]
+        first, second = TableFilter(points), TableFilter(points)
+        freqs = FrequencyTuple((W,))
+        contraction_coefficient(freqs, first)
+        c = contraction_coefficient(freqs, second)
+        assert scalar_eval(c, {"w": 3.0}, second) == pytest.approx(0.94)
+        assert freqs in second.coefficients
+        assert freqs not in GaussianFilter().coefficients
+
 
 class TestSingularTuples:
     def test_leading_zero_left(self):

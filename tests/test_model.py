@@ -1,10 +1,14 @@
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from stcg import model as smodel
+from stcg.contraction import UnresolvedSingularityError
 from stcg.model import (
     assemble,
     effective_dissipators,
@@ -19,7 +23,7 @@ from stcg.model import (
     HamiltonianTermSpec,
 )
 from stcg.operators import ModeSpec, OperatorSum, parse_operator
-from stcg.symbols import TAU, FreqExpr, GaussianFilter
+from stcg.symbols import TAU, TIME, FreqExpr, GaussianFilter
 
 RABI_DOC = {
     "name": "rabi",
@@ -155,6 +159,243 @@ class TestRamps:
         g0, t = sp.symbols("g0 t", real=True)
         T = sp.Symbol("T", positive=True)
         assert sp.simplify(term.coeff - g0 * t / T) == 0
+
+    @pytest.mark.parametrize("name", ["wp", "T", "t", "tau"])
+    def test_regulator_must_not_be_a_model_symbol(self, name):
+        # With "wp" the shift used to fold into the pump frequency, leaving
+        # unmerged static terms at order 1.
+        doc = dict(RAMPED_PUMP_DOC, regulator=name)
+        with pytest.raises(ValueError, match=f"regulator '{name}'"):
+            load_model(doc)
+
+
+RAMPED_PUMP_DOC = {
+    "name": "ramped-pump",
+    "modes": [{"name": "a", "kind": "bosonic", "truncation": 3}],
+    "symbols": {"wp": None, "beta0": None},
+    "ramps": [{"symbol": "beta0", "duration": "T"}],
+    "terms": [
+        {"coupling": "beta0", "frequency": "2*wp", "operator": "a^2"},
+        {"coupling": "beta0", "frequency": "-2*wp", "operator": "a'^2"},
+    ],
+}
+
+RAMPED_DRIVE_DOC = {
+    "name": "ramped-drive",
+    "modes": [{"name": "a", "kind": "bosonic", "truncation": 2}],
+    "symbols": {"w": None, "g": None},
+    "ramps": [{"symbol": "g", "duration": "T"}],
+    "terms": [
+        {"coupling": "g", "frequency": "w", "operator": "a"},
+        {"coupling": "g", "frequency": "-w", "operator": "a'"},
+    ],
+}
+
+CAVITY_QUBIT_DOC = {
+    "name": "cavity-qubit",
+    "modes": [
+        {"name": "a", "kind": "bosonic", "truncation": 4},
+        {"name": "q", "kind": "two_level"},
+    ],
+    "symbols": {"wa": None, "wc": None, "g": None},
+    "terms": [
+        {"coupling": "g/2", "frequency": "wc+wa", "operator": "a*sm"},
+        {"coupling": "g/2", "frequency": "wc-wa", "operator": "a*sp"},
+        {"coupling": "g/2", "frequency": "wa-wc", "operator": "a'*sm"},
+        {"coupling": "g/2", "frequency": "-wc-wa", "operator": "a'*sp"},
+    ],
+}
+
+DRIVE_DOC = {
+    "name": "drive",
+    "modes": [{"name": "a", "kind": "bosonic", "truncation": 3}],
+    "symbols": {"w1": None, "c0": None, "c1": None},
+    "terms": [
+        {"coupling": "c0/2", "frequency": "w1", "operator": "a"},
+        {"coupling": "c0/2", "frequency": "-w1", "operator": "a'"},
+        {"coupling": "c1/2", "frequency": "2*w1", "operator": "a^2"},
+        {"coupling": "c1/2", "frequency": "-2*w1", "operator": "a'^2"},
+    ],
+}
+
+DELTA = sp.Symbol("delta", real=True)
+
+
+def _merged_groups(doc, order, tau=None, parts=(assemble,)):
+    """Every ``{key: pieces}`` group the merge step receives while ``parts``
+    assemble ``doc`` through ``order``, with the model."""
+    doc = dict(doc)
+    if tau is not None:
+        doc["filter"] = {"kind": "gaussian", "tau": tau}
+    model = load_model(doc)
+    groups = {}
+    real = smodel._ramp_limit
+
+    def record(grouped, regulator):
+        groups.update(grouped)
+        return real(grouped, regulator)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smodel, "_ramp_limit", record)
+        for part in parts:
+            part(model, order)
+    return groups, model
+
+
+def _key(text, modes):
+    ((key, _),) = parse_operator(text, modes).terms.items()
+    return key
+
+
+def _shift_series(pieces):
+    """The merged group expanded by sympy's generic ``series`` in the shift
+    through ``shift**0``.
+
+    Exp factors are pulled out of shift-dependent denominators and each term
+    is brought over one denominator first, so that ``series`` sees terms
+    that vanish identically as 0 instead of searching them for a leading
+    term.
+    """
+    combined = sp.Add(
+        *(
+            coeff * sp.exp(-sp.I * sp.Rational(m.numerator, m.denominator)
+                           * DELTA * TIME)
+            for coeff, m in pieces
+        )
+    )
+    combined = combined.replace(
+        lambda e: (
+            e.is_Pow
+            and e.exp.is_Integer
+            and e.exp < 0
+            and e.base.is_Add
+            and e.base.has(DELTA)
+        ),
+        lambda e: sp.factor_terms(e.base) ** e.exp,
+    )
+    combined = sp.Add(*(sp.together(t) for t in sp.Add.make_args(combined)))
+    return sp.expand(combined.series(DELTA, 0, 1).removeO())
+
+
+def _has_shift_denominator(pieces):
+    return any(
+        p.exp.is_negative and p.base.is_Add and p.base.has(DELTA)
+        for coeff, _ in pieces
+        for p in coeff.atoms(sp.Pow)
+    )
+
+
+class TestRampLimitKernel:
+    @pytest.fixture(scope="class", params=[None, "0.26ns"],
+                    ids=["symbolic", "numeric"])
+    def drive_groups(self, request):
+        groups, model = _merged_groups(RAMPED_DRIVE_DOC, 2, request.param)
+        # Exact comparison needs exact pieces: numeric tau enters as Floats.
+        exact = {
+            key: [(sp.nsimplify(c, rational=True), m) for c, m in pieces]
+            for key, pieces in groups.items()
+        }
+        return exact, model.modes
+
+    def _selected(self, modes):
+        a, ad = _key("a", modes), _key("a'", modes)
+        return {
+            "order1": (a, FreqExpr.parse("w")),
+            "order2-hamiltonian": (_key("a^2", modes), FreqExpr.parse("2*w")),
+            "order2-dissipator": ((a, ad), FreqExpr.zero()),
+        }
+
+    @pytest.mark.parametrize(
+        "label", ["order1", "order2-hamiltonian", "order2-dissipator"]
+    )
+    def test_matches_sympy_series(self, drive_groups, label):
+        groups, modes = drive_groups
+        key = self._selected(modes)[label]
+        pieces = groups[key]
+        if label != "order1":
+            assert _has_shift_denominator(pieces)
+        got = smodel._ramp_limit({key: pieces}, "delta").get(key, 0)
+        reference = _shift_series(pieces)
+        assert sp.simplify(reference.coeff(DELTA, 0) - got) == 0
+        for power in range(1, 5):
+            assert sp.simplify(reference.coeff(DELTA, -power)) == 0
+        # The order-2 Hamiltonian group's poles and finite part both cancel.
+        assert (got == 0) == (label == "order2-hamiltonian")
+
+    def test_pole_raises_with_key(self, drive_groups):
+        groups, modes = drive_groups
+        key = self._selected(modes)["order1"]
+        # Without its partner piece the 1/shift of the ramp survives.
+        lone = groups[key][:1]
+        with pytest.raises(
+            UnresolvedSingularityError,
+            match=rf"diverges \(shift\^-1\) for term {re.escape(str(key))}",
+        ):
+            smodel._ramp_limit({key: lone}, "delta")
+
+    def test_higher_pole_order_named(self):
+        key = ("k", FreqExpr.zero())
+        pieces = [(1 / DELTA**2 + 1 / DELTA, Fraction(0))]
+        with pytest.raises(UnresolvedSingularityError, match=r"shift\^-1"):
+            smodel._ramp_limit({key: pieces}, "delta")
+        pieces = [(1 / DELTA**2, Fraction(0))]
+        with pytest.raises(UnresolvedSingularityError, match=r"shift\^-2"):
+            smodel._ramp_limit({key: pieces}, "delta")
+
+    def test_cancelling_poles_keep_finite_part(self):
+        # (exp(x*d) - 1 - x*d)/d**2 -> x**2/2; 1/(w + d) - 1/w -> -d/w**2.
+        x, w = sp.symbols("x w", real=True)
+        key = ("k", FreqExpr.zero())
+        pieces = [
+            ((sp.exp(x * DELTA) - 1 - x * DELTA) / DELTA**2, Fraction(0)),
+            ((1 / (w + DELTA) - 1 / w) / DELTA, Fraction(0)),
+        ]
+        got = smodel._ramp_limit({key: pieces}, "delta")[key]
+        assert sp.simplify(got - (x**2 / 2 - 1 / w**2)) == 0
+
+    def test_vanishing_sum_inverts_to_pole(self):
+        # 1/(d*w + d**2) = 1/(d*w) - 1/w**2 + O(d): a sum vanishing at zero
+        # shift inverts to a pole, cancelled here by -1/(d*w).
+        w = sp.Symbol("w", real=True)
+        key = ("k", FreqExpr.zero())
+        pieces = [(1 / (DELTA * w + DELTA**2) - 1 / (DELTA * w), Fraction(0))]
+        got = smodel._ramp_limit({key: pieces}, "delta")[key]
+        assert sp.simplify(got + 1 / w**2) == 0
+
+    def test_unsupported_factor_named(self):
+        key = ("k", FreqExpr.zero())
+        pieces = [(sp.sqrt(DELTA), Fraction(0))]
+        with pytest.raises(UnresolvedSingularityError, match="for term"):
+            smodel._ramp_limit({key: pieces}, "delta")
+
+
+class TestMergeWithoutRamp:
+    # cavity-qubit has sums of frequencies in denominators, so its merge
+    # also takes the per-term expand path; drive's are all monomials.
+    @pytest.mark.parametrize(
+        "doc,order,parts,sum_denominators",
+        [
+            (CAVITY_QUBIT_DOC, 2, (assemble,), True),
+            (DRIVE_DOC, 3, (effective_hamiltonian,), False),
+        ],
+        ids=["cavity-qubit-o2", "drive-o3"],
+    )
+    @pytest.mark.parametrize("tau", [None, "0.26ns"], ids=["symbolic", "numeric"])
+    def test_distributed_sum_equals_expand(
+        self, doc, order, parts, sum_denominators, tau
+    ):
+        groups, _ = _merged_groups(doc, order, tau, parts)
+        assert groups
+        found = False
+        for key, pieces in groups.items():
+            got = smodel._ramp_limit({key: pieces}, None).get(key, 0)
+            assert str(got) == str(sp.expand(sp.Add(*(c for c, _ in pieces))))
+            found |= any(
+                p.exp.is_negative and p.base.is_Add
+                for coeff, _ in pieces
+                for p in coeff.atoms(sp.Pow)
+            )
+        assert found == sum_denominators
 
 
 class TestAssembly:
