@@ -6,12 +6,11 @@ over the bubble diagrams of :mod:`stcg.diagrams`; each diagram contributes a
 signed product of filter values divided by "vector factorials" (products of
 partial frequency sums).  Where partial sums vanish, every frequency is
 shifted by a distinct integer multiple of a regulator ``eps`` and the
-diagram is expanded as a truncated Laurent series in ``eps``: each factor's
-series is known in closed form (pure poles, geometric series of the
-non-vanishing partial sums, the filter's Taylor coefficients), so the
-expansion is exact rational arithmetic on those coefficients.  The poles
-must cancel in the sum over diagrams, and the finite part is the limit.
-This needs filters with a closed-form profile.
+diagram is expanded as a truncated Laurent series in ``eps`` by
+:class:`_ShiftSeries`, the exact series kernel that also takes the ramp
+limit of :mod:`stcg.model`.  The poles must cancel in the sum over
+diagrams, and the finite part is the limit.  This needs filters with a
+closed-form profile.
 
 The module also carries a slow, independent numerical oracle
 (:func:`bubble_factor_oracle`) that rebuilds the same coefficients from
@@ -39,13 +38,17 @@ __all__ = [
     "regularize_singular",
     "contraction_coefficient",
     "symmetry_check",
-    "gaussian_shift_coefficient",
     "bubble_factor_oracle",
     "numeric_limit_probe",
 ]
 
 class UnresolvedSingularityError(ArithmeticError):
     """A negative regulator power survived the full diagram sum."""
+
+
+#: Regulator of singular diagrams.  A plain symbol carries no assumptions,
+#: so it never equals a model symbol (those are real).
+_EPS = sp.Symbol("eps")
 
 
 @dataclass(frozen=True)
@@ -113,9 +116,10 @@ def _diagram_expr(
     diagram: Diagram,
     mu: Sequence[sp.Expr],
     nu: Sequence[sp.Expr],
-    filter_spec: FilterSpec,
+    filter_spec: Callable[[sp.Expr], sp.Expr],
 ) -> sp.Expr:
-    """Signed diagram term with frequencies already mapped to sympy."""
+    """Signed diagram term with frequencies already mapped to sympy;
+    ``filter_spec`` gives the filter value at a frequency."""
     sign = sp.Integer(-1) ** (len(nu) + diagram.size - 1)
     li = ri = 0
     factors = []
@@ -166,72 +170,28 @@ def regularize_singular(
     """Laurent coefficients of a singular diagram in the regulator ``eps``.
 
     Entry ``i`` of ``mu + nu`` is shifted by ``2**i * eps``, so every partial
-    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagram is then
-    a product of factors whose truncated power series are known exactly: a
-    vanishing partial sum is a pole ``1/(b*eps)``, any other one the
-    geometric series of ``1/(a + b*eps)``, the prefactor ``a + b*eps`` itself
-    and each bubble filter its Taylor series at the unshifted bubble
-    frequency.  Returns ``{power: coefficient}`` for the powers from minus
-    the pole count through zero.  A single diagram may keep negative powers;
-    those cancel only in the sum over all diagrams of the coefficient, which
-    :func:`contraction_coefficient` verifies before keeping the finite part.
+    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagram, with
+    the filter's exact profile (:meth:`FilterSpec.exact`), is then expanded
+    by :class:`_ShiftSeries`.  Returns ``{power: coefficient}`` for the
+    powers from the lowest one through zero.  A single diagram may keep
+    negative powers; those cancel only in the sum over all diagrams of the
+    coefficient, which :func:`contraction_coefficient` verifies before
+    keeping the finite part.
     """
     if not filter_spec.symbolic:
         raise UnresolvedSingularityError(
             "evaluate-only filters cannot regulate singular frequency tuples"
         )
-    left = len(freqs.mu)
-    mu = list(zip(freqs.mu, (2**i for i in range(left))))
-    nu = list(zip(freqs.nu, (2 ** (left + i) for i in range(len(freqs.nu)))))
-    poles = 0
-    scale = sp.Integer(-1) ** (len(nu) + diagram.size - 1)
-    sums = []  # (a, b) of each non-vanishing partial sum a + b*eps
-    bubbles = []  # (frequency, regulator multiple) of each bubble filter
-    li = ri = 0
-    for bubble in diagram:
-        mblock = mu[li : li + bubble.left]
-        nblock = nu[ri : ri + bubble.right]
-        li += bubble.left
-        ri += bubble.right
-        for block in (mblock, nblock):
-            for a, b in _shifted_partial_sums(block):
-                if a.is_zero:
-                    poles += 1
-                    scale /= b
-                else:
-                    sums.append((a.to_sympy(), b))
-        bubbles.append(_shifted_sum(mblock + nblock))
-    # The prefactor is the last partial sum of the final left block, so a
-    # vanishing prefactor cancels one of the poles counted above.
-    a, b = _shifted_sum(mblock)
-    if a.is_zero:
-        poles -= 1
-        scale *= b
-
-    n = poles + 1
-    factors = [
-        [sp.Integer(-b) ** k / a ** (k + 1) for k in range(n)] for a, b in sums
+    shifted = [
+        w.to_sympy() + 2**i * _EPS for i, w in enumerate(freqs.mu + freqs.nu)
     ]
-    for freq, c in bubbles:
-        taylor = filter_spec.taylor(freq.to_sympy(), n)
-        factors.append([t * c**k for k, t in enumerate(taylor)])
-    if not a.is_zero:
-        factors.append([a.to_sympy(), sp.Integer(b)])
-    series = [scale] + [sp.Integer(0)] * poles
-    for factor in factors:
-        series = _truncated_product(series, factor, n)
-    return {k - poles: coeff for k, coeff in enumerate(series)}
-
-
-def _shifted_sum(block) -> tuple[FreqExpr, int]:
-    return (
-        sum((w for w, _ in block), FreqExpr.zero()),
-        sum(m for _, m in block),
+    left = len(freqs.mu)
+    expr = _diagram_expr(
+        diagram, shifted[:left], shifted[left:], filter_spec.exact
     )
-
-
-def _shifted_partial_sums(block) -> list[tuple[FreqExpr, int]]:
-    return [_shifted_sum(block[: k + 1]) for k in range(len(block))]
+    kernel = _ShiftSeries(_EPS)
+    low = kernel.low(expr)
+    return {low + k: coeff for k, coeff in enumerate(kernel.laurent(expr, 1))}
 
 
 def _truncated_product(x: list, y: list, n: int) -> list:
@@ -241,6 +201,141 @@ def _truncated_product(x: list, y: list, n: int) -> list:
         sp.Add(*(x[i] * y[k - i] for i in range(max(0, k + 1 - len(y)), k + 1)))
         for k in range(n)
     ]
+
+
+class _NotExpandable(ValueError):
+    """A factor has no Laurent series the kernel can build."""
+
+
+#: How many orders past its lower bound the leading term of an inverted sum
+#: is searched for before the sum is taken to vanish.
+_MAX_LEADING_SEARCH = 8
+
+
+class _ShiftSeries:
+    """Exact truncated Laurent series in one regulator symbol, the shift:
+    the one kernel for every regulated limit (singular diagrams, see
+    :func:`regularize_singular`, and the ramp limit of
+    :func:`stcg.model._ramp_limit`).
+
+    ``laurent(expr, prec)`` returns the coefficients of ``shift**low(expr)``
+    through ``shift**(prec - 1)``, built factor by factor:
+
+    - a factor free of the shift is a constant, ``shift**k`` a pure power;
+    - ``exp(a0 + r(shift))`` is ``exp(a0)`` times the exponential series of
+      the remainder ``r``, which must vanish at zero shift;
+    - ``sum**k`` is a truncated power for ``k > 0``; for ``k < 0`` the sum's
+      leading coefficient is found by exact zero tests and the series
+      inverted, so a sum that vanishes at zero shift gives a pole of that
+      order;
+    - sums and products combine with :func:`_truncated_product`.
+
+    ``low(expr)`` is a lower bound of the valuation (exact for an inverted
+    sum).  Results are memoised for the lifetime of one instance.
+    """
+
+    def __init__(self, shift: sp.Symbol):
+        self.shift = shift
+        self._low: dict = {}
+        self._laurent: dict = {}
+
+    def low(self, expr: sp.Expr) -> int:
+        hit = self._low.get(expr)
+        if hit is None:
+            hit = self._low[expr] = self._compute_low(expr)
+        return hit
+
+    def _compute_low(self, expr: sp.Expr) -> int:
+        if not expr.has(self.shift):
+            return 0
+        if expr == self.shift:
+            return 1
+        if expr.is_Add:
+            return min(self.low(arg) for arg in expr.args)
+        if expr.is_Mul:
+            return sum(self.low(arg) for arg in expr.args)
+        if expr.is_Pow and expr.exp.is_Integer:
+            if expr.exp > 0 or expr.base == self.shift:
+                return int(expr.exp) * self.low(expr.base)
+            return int(expr.exp) * self._leading_power(expr.base)
+        if expr.func is sp.exp:
+            if self.low(expr.args[0]) < 0:
+                raise _NotExpandable(f"essential singularity in {expr}")
+            return 0
+        raise _NotExpandable(f"cannot expand {expr} in {self.shift}")
+
+    def _leading_power(self, expr: sp.Expr) -> int:
+        """Power of the first coefficient of ``expr`` that is not zero."""
+        low = self.low(expr)
+        for power in range(low, low + _MAX_LEADING_SEARCH):
+            if not _vanishes(self.laurent(expr, power + 1)[-1]):
+                return power
+        raise _NotExpandable(f"no leading term found for {expr}")
+
+    def laurent(self, expr: sp.Expr, prec: int) -> list:
+        key = (expr, prec)
+        hit = self._laurent.get(key)
+        if hit is None:
+            n = prec - self.low(expr)
+            hit = self._laurent[key] = self._compute(expr, n) if n > 0 else []
+        return hit
+
+    def _compute(self, expr: sp.Expr, n: int) -> list:
+        zeros = [sp.Integer(0)] * (n - 1)
+        if not expr.has(self.shift):
+            return [expr] + zeros
+        if expr == self.shift or (expr.is_Pow and expr.base == self.shift):
+            return [sp.Integer(1)] + zeros
+        if expr.is_Add:
+            low = self.low(expr)
+            columns = [[] for _ in range(n)]
+            for arg in expr.args:
+                offset = self.low(arg) - low
+                for i, c in enumerate(self.laurent(arg, low + n)):
+                    columns[offset + i].append(c)
+            return [sp.Add(*col) for col in columns]
+        if expr.is_Mul:
+            const, varying = [], []
+            for arg in expr.args:
+                (varying if arg.has(self.shift) else const).append(arg)
+            out = [sp.Mul(*const)] + zeros
+            for factor in varying:
+                out = _truncated_product(
+                    out, self.laurent(factor, self.low(factor) + n), n
+                )
+            return out
+        if expr.is_Pow:
+            base, k = expr.base, int(expr.exp)
+            if k > 0:
+                factor = self.laurent(base, self.low(base) + n)
+            else:
+                v = self.low(expr) // k  # exact for an inverted sum
+                lead = self.laurent(base, v + n)[v - self.low(base) :]
+                factor = _inverse_series(lead)
+            out = factor
+            for _ in range(abs(k) - 1):
+                out = _truncated_product(out, factor, n)
+            return out
+        # exp(a0 + r(shift)): exp(a0) times the exponential series of r.
+        arg = self.laurent(expr.args[0], n)
+        arg = [sp.Integer(0)] * self.low(expr.args[0]) + arg
+        out = [sp.Integer(1)]
+        for m in range(1, n):
+            out.append(
+                sp.Add(*(j * arg[j] * out[m - j] for j in range(1, m + 1))) / m
+            )
+        scale = sp.exp(arg[0])
+        return [scale * c for c in out]
+
+
+def _inverse_series(c: list) -> list:
+    """Coefficients of ``1 / sum(c[i] * x**i)``, with ``c[0] != 0``."""
+    inv = 1 / c[0]
+    out = [inv]
+    for m in range(1, len(c)):
+        tail = sp.Add(*(c[i] * out[m - i] for i in range(1, m + 1)))
+        out.append(-inv * tail)
+    return out
 
 
 def contraction_coefficient(
@@ -357,25 +452,6 @@ def symmetry_check(
         "parity": abs(flipped - parity_sign * base) / scale,
         "mirror": abs(mirrored - base) / scale,
     }
-
-
-def gaussian_shift_coefficient(n: int, k: int) -> sp.Rational:
-    """Expansion coefficients of a shifted Gaussian profile.
-
-    Writing ``f(x + d)/f(x)`` as ``sum_n d**n/n! * sum_k c(n, k) *
-    tau**(2*(n-k)) * x**(n-2*k)``, this returns ``c(n, k)``:
-    ``(-1)**(n-k) * n! / (2**k * (n-2*k)! * k!)``, zero outside
-    ``0 <= 2*k <= n``.
-    """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if k < 0 or n < 2 * k:
-        return sp.Integer(0)
-    return (
-        sp.Integer(-1) ** (n - k)
-        * sp.factorial(n)
-        / (sp.Integer(2) ** k * sp.factorial(n - 2 * k) * sp.factorial(k))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -26,7 +27,8 @@ from .contraction import (
     FrequencyTuple,
     UnresolvedSingularityError,
     _is_plain_product,
-    _truncated_product,
+    _NotExpandable,
+    _ShiftSeries,
     _vanishes,
     contraction_coefficient,
 )
@@ -236,21 +238,25 @@ def parse_quantity(text) -> float:
 
     Frequencies are angular (rad/s): a Hz-family unit gives cycles/s, and
     the explicit ``2pi*`` prefix multiplies by 2*pi -- never implicitly.
-    Times use second-family units.  Bare numbers pass through.
+    Times use second-family units.  Bare numbers pass through.  A value
+    that is not finite (``"1e400ns"``) is rejected.
     """
     if isinstance(text, (int, float)):
-        return float(text)
-    match = _QUANTITY_RE.match(str(text))
-    if not match:
-        raise ValueError(f"cannot parse quantity {text!r}")
-    unit = match.group("unit")
-    if unit not in _UNIT_SCALE:
-        raise ValueError(f"unknown unit {unit!r} in {text!r}")
-    value = float(match.group("num")) * _UNIT_SCALE[unit]
-    if match.group("twopi"):
-        value *= 2.0 * 3.141592653589793
-    if (match.group("sign") or "").strip() == "-":
-        value = -value
+        value = float(text)
+    else:
+        match = _QUANTITY_RE.match(str(text))
+        if not match:
+            raise ValueError(f"cannot parse quantity {text!r}")
+        unit = match.group("unit")
+        if unit not in _UNIT_SCALE:
+            raise ValueError(f"unknown unit {unit!r} in {text!r}")
+        value = float(match.group("num")) * _UNIT_SCALE[unit]
+        if match.group("twopi"):
+            value *= 2.0 * 3.141592653589793
+        if (match.group("sign") or "").strip() == "-":
+            value = -value
+    if not math.isfinite(value):
+        raise ValueError(f"quantity {text!r} must be finite, got {value}")
     return value
 
 
@@ -409,9 +415,9 @@ def _ramp_limit(groups: Mapping, regulator: str | None):
     pairs.  Without a regulator the pieces are summed term by term.  With
     one, the combined coefficient including the residual phase
     ``exp(-i*m*shift*t)`` is expanded as a truncated Laurent series in the
-    shift (:class:`_ShiftSeries`) and the constant term kept; a negative
-    power that does not vanish means the ramp limit does not exist.  Zero
-    results are dropped.
+    shift (:class:`stcg.contraction._ShiftSeries`) and the constant term
+    kept; a negative power that does not vanish means the ramp limit does
+    not exist.  Zero results are dropped.
     """
     out = {}
     if regulator is None:
@@ -481,138 +487,6 @@ def _distributed(expr: sp.Expr) -> list:
     return [expr]
 
 
-class _NotExpandable(ValueError):
-    """A factor has no Laurent series the kernel can build."""
-
-
-#: How many orders past its lower bound the leading term of an inverted sum
-#: is searched for before the sum is taken to vanish.
-_MAX_LEADING_SEARCH = 8
-
-
-class _ShiftSeries:
-    """Exact truncated Laurent series in one symbol, the ramp shift.
-
-    ``laurent(expr, prec)`` returns the coefficients of ``shift**low(expr)``
-    through ``shift**(prec - 1)``, built factor by factor:
-
-    - a factor free of the shift is a constant, ``shift**k`` a pure power;
-    - ``exp(a0 + r(shift))`` is ``exp(a0)`` times the exponential series of
-      the remainder ``r``, which must vanish at zero shift;
-    - ``sum**k`` is a truncated power for ``k > 0``; for ``k < 0`` the sum's
-      leading coefficient is found by exact zero tests and the series
-      inverted, so a sum that vanishes at zero shift gives a pole of that
-      order;
-    - sums and products combine with :func:`_truncated_product`.
-
-    ``low(expr)`` is a lower bound of the valuation (exact for an inverted
-    sum).  Results are memoised for the lifetime of one instance.
-    """
-
-    def __init__(self, shift: sp.Symbol):
-        self.shift = shift
-        self._low: dict = {}
-        self._laurent: dict = {}
-
-    def low(self, expr: sp.Expr) -> int:
-        hit = self._low.get(expr)
-        if hit is None:
-            hit = self._low[expr] = self._compute_low(expr)
-        return hit
-
-    def _compute_low(self, expr: sp.Expr) -> int:
-        if not expr.has(self.shift):
-            return 0
-        if expr == self.shift:
-            return 1
-        if expr.is_Add:
-            return min(self.low(arg) for arg in expr.args)
-        if expr.is_Mul:
-            return sum(self.low(arg) for arg in expr.args)
-        if expr.is_Pow and expr.exp.is_Integer:
-            if expr.exp > 0 or expr.base == self.shift:
-                return int(expr.exp) * self.low(expr.base)
-            return int(expr.exp) * self._leading_power(expr.base)
-        if expr.func is sp.exp:
-            if self.low(expr.args[0]) < 0:
-                raise _NotExpandable(f"essential singularity in {expr}")
-            return 0
-        raise _NotExpandable(f"cannot expand {expr} in {self.shift}")
-
-    def _leading_power(self, expr: sp.Expr) -> int:
-        """Power of the first coefficient of ``expr`` that is not zero."""
-        low = self.low(expr)
-        for power in range(low, low + _MAX_LEADING_SEARCH):
-            if not _vanishes(self.laurent(expr, power + 1)[-1]):
-                return power
-        raise _NotExpandable(f"no leading term found for {expr}")
-
-    def laurent(self, expr: sp.Expr, prec: int) -> list:
-        key = (expr, prec)
-        hit = self._laurent.get(key)
-        if hit is None:
-            n = prec - self.low(expr)
-            hit = self._laurent[key] = self._compute(expr, n) if n > 0 else []
-        return hit
-
-    def _compute(self, expr: sp.Expr, n: int) -> list:
-        zeros = [sp.Integer(0)] * (n - 1)
-        if not expr.has(self.shift):
-            return [expr] + zeros
-        if expr == self.shift or (expr.is_Pow and expr.base == self.shift):
-            return [sp.Integer(1)] + zeros
-        if expr.is_Add:
-            low = self.low(expr)
-            columns = [[] for _ in range(n)]
-            for arg in expr.args:
-                offset = self.low(arg) - low
-                for i, c in enumerate(self.laurent(arg, low + n)):
-                    columns[offset + i].append(c)
-            return [sp.Add(*col) for col in columns]
-        if expr.is_Mul:
-            const, varying = [], []
-            for arg in expr.args:
-                (varying if arg.has(self.shift) else const).append(arg)
-            out = [sp.Mul(*const)] + zeros
-            for factor in varying:
-                out = _truncated_product(
-                    out, self.laurent(factor, self.low(factor) + n), n
-                )
-            return out
-        if expr.is_Pow:
-            base, k = expr.base, int(expr.exp)
-            if k > 0:
-                factor = self.laurent(base, self.low(base) + n)
-            else:
-                v = self.low(expr) // k  # exact for an inverted sum
-                lead = self.laurent(base, v + n)[v - self.low(base) :]
-                factor = _inverse_series(lead)
-            out = factor
-            for _ in range(abs(k) - 1):
-                out = _truncated_product(out, factor, n)
-            return out
-        # exp(a0 + r(shift)): exp(a0) times the exponential series of r.
-        arg = self.laurent(expr.args[0], n)
-        arg = [sp.Integer(0)] * self.low(expr.args[0]) + arg
-        out = [sp.Integer(1)]
-        for m in range(1, n):
-            out.append(
-                sp.Add(*(j * arg[j] * out[m - j] for j in range(1, m + 1))) / m
-            )
-        scale = sp.exp(arg[0])
-        return [scale * c for c in out]
-
-
-def _inverse_series(c: list) -> list:
-    """Coefficients of ``1 / sum(c[i] * x**i)``, with ``c[0] != 0``."""
-    inv = 1 / c[0]
-    out = [inv]
-    for m in range(1, len(c)):
-        tail = sp.Add(*(c[i] * out[m - i] for i in range(1, m + 1)))
-        out.append(-inv * tail)
-    return out
-
-
 def _frac_to_rational(f: Fraction) -> sp.Rational:
     return sp.Rational(f.numerator, f.denominator)
 
@@ -632,9 +506,12 @@ def _split_regulator(freq: FreqExpr, regulator: str | None):
 
 
 def _orders(order, minimum: int) -> list[int]:
-    if isinstance(order, int):
-        return list(range(minimum, order + 1))
-    return [k for k in order if k >= minimum]
+    """The requested orders (``1..order``, or those listed) from
+    ``minimum`` on; at least one requested order must be 1 or more."""
+    requested = range(1, order + 1) if isinstance(order, int) else list(order)
+    if not any(k >= 1 for k in requested):
+        raise ValueError(f"derivation order must be at least 1, got {order!r}")
+    return [k for k in requested if k >= minimum]
 
 
 def _product(
@@ -805,6 +682,8 @@ def prune_terms(
     Time-dependent coefficients are maximized over ``time_window`` on a
     uniform sample grid.  The dropped-term census lands in provenance.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if time_window is None:
         times = [0.0]
     else:

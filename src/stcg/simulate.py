@@ -14,11 +14,11 @@ non-zero pattern of all H and JL matrices, K slots per row (column),
 and rebuilt per step by one small product over the term coefficients.
 A narrow pattern (``K * GATHER_RATIO <= d``) is applied by K row and K
 column gathers, a wide one by one dense matrix product per side.  The
-jump terms ``L rho J`` with monomial L and J form one flat table, K'
-weighted entries of rho per output entry, applied together by one gather
-of rho, one of the coefficients and one sum over the slots; any other
-jump term keeps its own pair of products.  The RK4 loop works in
-preallocated arrays and writes samples into a preallocated trajectory.
+jump terms ``L rho J`` form one flat table built from the non-zeros of
+every L and J, K' weighted entries of rho per output entry, applied
+together by one gather of rho, one of the coefficients and one sum over
+the slots.  The RK4 loop works in preallocated arrays and writes samples
+into a preallocated trajectory.
 """
 
 from __future__ import annotations
@@ -181,10 +181,9 @@ def _coeff_fn(coeff: sp.Expr, freq: FreqExpr, assignment: Mapping[str, float]):
 def _realize(generator, assignment):
     """Term tables, the fastest frequency and the dimension.
 
-    Hamiltonian terms are ``(H, coeff_fn)``; dissipators are ``(x -> L x,
-    x -> x J, JL, rate_fn)``, so that dense L and J are kept only where
-    the product needs them (see :func:`_left_product`): a monomial is
-    reduced to its index and value vectors, a :class:`_Gather`.
+    Hamiltonian terms are ``(H, coeff_fn)``; dissipators are ``(L, J, JL,
+    rate_fn)`` with L and J as COO triplets (see :func:`_coo`) and JL
+    dense.
     """
     ham = []
     dis = []
@@ -212,9 +211,7 @@ def _realize(generator, assignment):
         fn, omega = _coeff_fn(term.rate, term.freq, assignment)
         lmat = term.left.matrix(assignment)
         jmat = term.right.matrix(assignment)
-        dis.append(
-            (_left_product(lmat), _right_product(jmat), jmat @ lmat, fn)
-        )
+        dis.append((_coo(lmat), _coo(jmat), jmat @ lmat, fn))
         fastest = max(fastest, abs(omega))
     dim = int(np.prod([m.dim for m in modes]))
     return ham, dis, fastest, dim
@@ -228,10 +225,10 @@ def _generator(ham, dis, dim: int):
     share the union non-zero pattern of all H and ``JL`` matrices, whose
     per-term values are laid out once here; each call combines them with
     one small product over the term coefficients (see
-    :func:`_slot_product`).  Jump terms with monomial L and J are applied
-    together by one flat gather (see :func:`_jump_table`), any other by
-    its own pair of products.  Work arrays are allocated once, so a call
-    allocates no d x d array and a generator is not reentrant.
+    :func:`_slot_product`).  All jump terms are applied together by one
+    flat gather (see :func:`_jump_table`).  Work arrays are allocated
+    once, so a call allocates no d x d array and a generator is not
+    reentrant.
     """
     mats = [mat for mat, _ in ham] + [jl for _, _, jl, _ in dis]
     fns = [fn for _, fn in ham] + [fn for _, _, _, fn in dis]
@@ -242,25 +239,16 @@ def _generator(ham, dis, dim: int):
         pattern |= mat != 0
     left = _slot_product(mats, pattern, axis=0)
     right = _slot_product(mats, pattern, axis=1)
-    monomial, general = [], []
-    for j, (l_prod, j_prod, _, _) in enumerate(dis):
-        gathers = isinstance(l_prod, _Gather) and isinstance(j_prod, _Gather)
-        (monomial if gathers else general).append(
-            (l_prod, j_prod, len(ham) + j)
-        )
-    table = _jump_table(monomial, dim)
-    half = np.empty((dim, dim), dtype=complex)
-    jump = np.empty((dim, dim), dtype=complex)
+    table = _jump_table(
+        [(lop, jop, len(ham) + k) for k, (lop, jop, _, _) in enumerate(dis)],
+        dim,
+    )
 
     def rhs(t, rho, out):
         coeffs = np.array([fn(t) for fn in fns], dtype=complex)
         left(coeffs * to_left, rho, out, add=False)
         right(coeffs * to_right, rho, out, add=True)
         table(coeffs, rho, out)
-        for l_prod, j_prod, k in general:
-            term = j_prod(l_prod(rho, half), jump)
-            term *= coeffs[k]
-            out += term
         return out
 
     return rhs
@@ -346,25 +334,31 @@ def _slot_product(mats, pattern: np.ndarray, axis: int):
     return dense
 
 
+def _coo(mat: np.ndarray):
+    """Non-zeros of ``mat`` as ``(rows, cols, values)``, row-major."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
 def _jump_table(jumps, dim: int):
     """``apply(c, x, out)``: ``out += sum c[k] L x J`` over the ``(L, J,
-    k)`` of ``jumps``, with L and J given as :class:`_Gather`.
+    k)`` of ``jumps``, with L and J given as COO triplets (:func:`_coo`).
 
-    Entry ``(i, m)`` of ``L x J`` is ``l[i] j[m] x[lc[i], jr[m]]``, so each
-    term contributes flat records (output ``i*d + m``, input ``lc[i]*d +
-    jr[m]``, term k, weight ``l[i] j[m]``); zero weights are dropped.  The
-    records are laid out as K slots per output entry, padded with input 0
-    and weight 0, so a call is one gather of x, one of c, two products and
-    one sum over the slots, all in preallocated arrays.
+    Entry ``(i, m)`` of ``L x J`` sums ``L[i, a] J[b, m] x[a, b]``, so each
+    pair of non-zeros ``L[i, a]``, ``J[b, m]`` is a flat record (output
+    ``i*d + m``, input ``a*d + b``, term k, weight ``L[i, a] J[b, m]``);
+    zero weights are dropped.  The records are laid out as K slots per
+    output entry, padded with input 0 and weight 0, so a call is one
+    gather of x, one of c, two products and one sum over the slots, all in
+    preallocated arrays.
     """
     size = dim * dim
     outs, ins, terms, weights = [], [], [], []
-    for l_prod, j_prod, k in jumps:
-        weight = np.multiply.outer(l_prod.values, j_prod.values).ravel()
+    for (i, a, lval), (b, m, jval), k in jumps:
+        weight = np.multiply.outer(lval, jval).ravel()
         keep = np.flatnonzero(weight)
-        rows, cols = np.divmod(keep, dim)
-        outs.append(keep)
-        ins.append(l_prod.index[rows] * dim + j_prod.index[cols])
+        outs.append(np.add.outer(i * dim, m).ravel()[keep])
+        ins.append(np.add.outer(a * dim, b).ravel()[keep])
         terms.append(np.full(len(keep), k))
         weights.append(weight[keep])
     if not any(map(len, outs)):
@@ -396,55 +390,6 @@ def _jump_table(jumps, dim: int):
     return apply
 
 
-@dataclass(frozen=True, eq=False)
-class _Gather:
-    """``(x, out=None) -> M @ x`` (``axis=0``) or ``x @ M`` (``axis=1``)
-    for an M with at most one non-zero per row (column): line i of the
-    product is ``values[i]`` times line ``index[i]`` of x."""
-
-    index: np.ndarray
-    values: np.ndarray
-    axis: int
-
-    def __call__(self, x, out=None):
-        out = np.take(x, self.index, axis=self.axis, out=out, mode="clip")
-        out *= self.values[:, None] if self.axis == 0 else self.values
-        return out
-
-
-def _gather(mat: np.ndarray, axis: int):
-    """``mat`` as a :class:`_Gather`, or None when a row (``axis=0``) or
-    a column (``axis=1``) holds more than one non-zero."""
-    lines = mat if axis == 0 else mat.T
-    nonzero = lines != 0
-    if nonzero.sum(axis=1).max(initial=0) > 1:
-        return None
-    index = nonzero.argmax(axis=1)
-    return _Gather(index, lines[np.arange(len(lines)), index], axis)
-
-
-def _left_product(mat: np.ndarray):
-    """``(x, out=None) -> mat @ x``.
-
-    A monomial operator has at most one non-zero per row; its product is
-    then a row gather, which forms each entry from the same single
-    non-zero product as the dense one, in O(d**2) rather than O(d**3).
-    """
-    gather = _gather(mat, axis=0)
-    if gather is None:
-        return lambda x, out=None: np.matmul(mat, x, out=out)
-    return gather
-
-
-def _right_product(mat: np.ndarray):
-    """``(x, out=None) -> x @ mat``, a column gather when ``mat`` has at
-    most one non-zero per column (see :func:`_left_product`)."""
-    gather = _gather(mat, axis=1)
-    if gather is None:
-        return lambda x, out=None: np.matmul(x, mat, out=out)
-    return gather
-
-
 def _hamiltonian_at(ham, dim: int, t: float) -> np.ndarray:
     """H(t) from a realized Hamiltonian term table."""
     h = np.zeros((dim, dim), dtype=complex)
@@ -469,20 +414,22 @@ def integrate(
     explicit ``dt`` the step resolves the fastest retained frequency with
     at least {STEPS_PER_PERIOD} steps per period.
     """
-    ham, dis, fastest, dim = _realize(generator, assignment)
-    rhs = _generator(ham, dis, dim)
-    del ham, dis  # the dense term matrices, d x d each, are done with
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"integration window must be finite, got {t_span}")
     if t1 <= t0:
         raise ValueError("empty integration window")
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"step must be finite and > 0, got {dt}")
+    ham, dis, fastest, dim = _realize(generator, assignment)
     if rho0.shape != (dim, dim):
         raise ValueError(
             f"initial state is {rho0.shape}, model dimension is {dim}"
         )
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"step must be finite and > 0, got {dt}")
+    rhs = _generator(ham, dis, dim)
+    del ham, dis  # the dense term matrices, d x d each, are done with
     if dt is None:
         if fastest > 0:
             dt = 2 * math.pi / fastest / STEPS_PER_PERIOD

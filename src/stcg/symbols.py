@@ -32,8 +32,8 @@ TAU = sp.Symbol("tau", positive=True)
 #: Laboratory time.
 TIME = sp.Symbol("t", real=True)
 
-#: Variable of the memoised filter Taylor coefficients.
-_TAYLOR_VAR = sp.Dummy("x")
+#: Variable of the memoised exact filter profile.
+_PROFILE_VAR = sp.Dummy("x")
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
@@ -220,20 +220,15 @@ class FreqExpr:
         return text
 
 
-def as_freq(value) -> FreqExpr:
-    """Coerce strings and symbols to :class:`FreqExpr`."""
-    if isinstance(value, FreqExpr):
-        return value
-    if isinstance(value, str):
-        return FreqExpr.parse(value)
-    raise TypeError(f"cannot interpret {value!r} as a frequency")
-
-
 class FilterSpec:
     """Spectral profile of the coarse-graining window.
 
     Subclasses provide ``profile(freq)`` returning a sympy expression (or an
     opaque atom) for the filter value at a frequency.  ``f(0) == 1`` always.
+    A filter also keeps what is derived from it: its profile in exact
+    arithmetic (:meth:`exact`, made once, for the regulated limits of
+    singular diagrams) and the contraction coefficients computed with it
+    (:attr:`coefficients`).
     """
 
     #: True when ``profile`` returns closed-form expressions that can be
@@ -241,7 +236,7 @@ class FilterSpec:
     symbolic: bool = False
 
     def __init__(self):
-        self._taylor: list[sp.Expr] = []
+        self._exact: sp.Expr | None = None
         #: Contraction coefficients computed with this filter, keyed by
         #: frequency tuple (see
         #: :func:`stcg.contraction.contraction_coefficient`).
@@ -250,23 +245,17 @@ class FilterSpec:
     def profile(self, freq: sp.Expr) -> sp.Expr:
         raise NotImplementedError
 
-    def taylor(self, freq: sp.Expr, n: int) -> list[sp.Expr]:
-        """First ``n`` Taylor coefficients ``g^(k)(freq)/k!`` of the profile.
+    def exact(self, freq: sp.Expr) -> sp.Expr:
+        """The profile at ``freq`` in exact arithmetic.
 
         Float constants of the profile (a numeric ``tau``) are made exact
-        rationals once, before differentiating, so expansions built from
-        these coefficients cancel exactly.  The coefficients are kept as
-        expressions in a dummy variable, extended on demand.
+        rationals once per filter, so that series expanded from it cancel
+        exactly.
         """
-        memo = self._taylor
-        if not memo:
-            g = self.profile(_TAYLOR_VAR)
-            if g.has(sp.Float):
-                g = sp.nsimplify(g, rational=True)
-            memo.append(g)
-        while len(memo) < n:
-            memo.append(sp.diff(memo[-1], _TAYLOR_VAR) / len(memo))
-        return [t.xreplace({_TAYLOR_VAR: freq}) for t in memo[:n]]
+        if self._exact is None:
+            g = self.profile(_PROFILE_VAR)
+            self._exact = sp.nsimplify(g, rational=True) if g.has(sp.Float) else g
+        return self._exact.xreplace({_PROFILE_VAR: freq})
 
     def __call__(self, freq) -> sp.Expr:
         if isinstance(freq, FreqExpr):

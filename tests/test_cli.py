@@ -29,6 +29,7 @@ JC_DOC = {
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_DATA = REPO / "perfbench" / "data"
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -136,6 +137,29 @@ class TestExitCodes:
         assert code == 3
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_validation_error_on_order_below_one(self, order, capsys):
+        code = main(["derive", "--preset", "rabi", "--order", order])
+        assert code == 3
+        assert "order must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_validation_error_on_bad_threshold(self, threshold, capsys):
+        code = main(
+            ["derive", "--preset", "rabi", "--order", "1",
+             f"--threshold={threshold}"]
+        )
+        assert code == 3
+        assert "threshold must be finite" in capsys.readouterr().err
+
+    def test_validation_error_on_non_finite_time(self, capsys):
+        code = main(
+            ["simulate", "--preset", "rabi", "--initial", "coherent(1)*g",
+             "--t1", "1e400ns", "--samples", "3"]
+        )
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestDerive:
     def test_json_stdout(self, model_path, capsys):
@@ -189,6 +213,15 @@ class TestDerive:
             ["derive", "--preset", "rabi", "--order", "3", "-o", str(out)]
         ) == 0
         stored = BENCH_DATA / "rabi_order3.json"
+        assert out.read_bytes() == stored.read_bytes()
+
+    def test_parametron_order1_matches_stored_export(self, tmp_path):
+        # pins the ramp limit end to end: the ramped pump's order-1 terms
+        out = tmp_path / "parametron1.json"
+        assert main(
+            ["derive", "--preset", "parametron", "--order", "1", "-o", str(out)]
+        ) == 0
+        stored = TEST_DATA / "parametron_order1.json"
         assert out.read_bytes() == stored.read_bytes()
 
     def test_python_m_stcg_from_checkout(self):

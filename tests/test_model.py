@@ -65,6 +65,13 @@ class TestQuantities:
         with pytest.raises(ValueError):
             parse_quantity("fast")
 
+    @pytest.mark.parametrize(
+        "text", ["1e400ns", "-2pi*1e308GHz", math.inf, math.nan]
+    )
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_quantity(text)
+
 
 class TestLoadModel:
     def test_round_trip_terms(self):
@@ -444,6 +451,13 @@ class TestAssembly:
         m = load_model(RABI_DOC)
         assert effective_dissipators(m, 1) == ()
 
+    @pytest.mark.parametrize("order", [0, -2, [0], []])
+    def test_rejects_order_below_one(self, order):
+        m = load_model(RABI_DOC)
+        for derive in (assemble, effective_hamiltonian, effective_dissipators):
+            with pytest.raises(ValueError, match="order must be at least 1"):
+                derive(m, order)
+
     def test_assemble_provenance(self):
         m = load_model(RABI_DOC)
         eff = assemble(m, 2)
@@ -487,6 +501,13 @@ class TestPruneExport:
         with pytest.raises(ValueError, match="at least 2 samples"):
             prune_terms(eff, 1e-6, point, time_window=(0.0, 1.0),
                         samples=samples)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1e-6])
+    def test_prune_rejects_bad_threshold(self, threshold):
+        eff = assemble(load_model(RABI_DOC), 1)
+        point = {"wa": 20.0, "wc": 21.0, "g": 0.5, "tau": 0.4}
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            prune_terms(eff, threshold, point)
 
     def test_json_round_trip(self):
         eff = self._eff()

@@ -24,9 +24,7 @@ from stcg.simulate import (
     expectation_series,
     _generator,
     _jump_table,
-    _left_product,
     _realize,
-    _right_product,
     _slot_product,
     integrate,
     rate_decomposition,
@@ -169,6 +167,12 @@ def slots_per_line(eff, assignment):
     return pattern.sum(axis=1).max(), pattern.sum(axis=0).max(), dim
 
 
+def coo(mat):
+    """``mat`` as the COO triplets ``_jump_table`` takes."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
 def random_matrix(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -303,6 +307,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="step must be finite and > 0"):
             integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, dt=dt)
 
+    @pytest.mark.parametrize(
+        "t_span", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)]
+    )
+    def test_rejects_non_finite_window(self, t_span):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "fock(0)*e")
+        with pytest.raises(ValueError, match="window must be finite"):
+            integrate(model, rho0, t_span, {"g": 1.0}, n_samples=3)
+
     def test_rk4_matches_dense_reference(self):
         modes = JC_MODES
         g = sp.Symbol("g")
@@ -412,12 +425,6 @@ class TestGenerator:
         )
         assignment = {"g": 1.3, "w": 2.9}
         ham, dis, _, dim = _realize(eff, assignment)
-        kinds = [
-            isinstance(left, simulate._Gather)
-            and isinstance(right, simulate._Gather)
-            for left, right, _, _ in dis
-        ]
-        assert kinds == [True, True, True, False, False]
         rhs = _generator(ham, dis, dim)
         rho = random_matrix(dim, 7)
         out = np.empty_like(rho)
@@ -448,10 +455,7 @@ class TestGenerator:
         one = parse_operator("1", modes).matrix()
         counts = sum((mat != 0).astype(int) for mat in mats).diagonal()
         assert counts.max() == len(texts) and counts.min() < len(texts)
-        jumps = [
-            (_left_product(mat), _right_product(one), k)
-            for k, mat in enumerate(mats)
-        ]
+        jumps = [(coo(mat), coo(one), k) for k, mat in enumerate(mats)]
         dim = len(one)
         rho = random_matrix(dim, 8)
         assert rho[0, 0] != 0
@@ -462,32 +466,48 @@ class TestGenerator:
         assert np.allclose(out, ref, rtol=0, atol=1e-12)
 
     def test_jump_table_without_records_is_noop(self):
-        zero = _left_product(np.zeros((4, 4)))
+        zero = coo(np.zeros((4, 4)))
         out = np.ones((4, 4), dtype=complex)
-        _jump_table([(zero, _right_product(np.eye(4)), 0)], 4)(
+        _jump_table([(zero, coo(np.eye(4)), 0)], 4)(
             np.ones(1, dtype=complex), random_matrix(4, 1), out
         )
         assert np.all(out == 1)
 
 
 class TestOperatorProducts:
+    """One jump term ``L x 1`` or ``1 x J`` through the jump table."""
+
+    @staticmethod
+    def products(mat, x):
+        one = coo(np.eye(len(mat)))
+        out = []
+        for jump in ((coo(mat), one, 0), (one, coo(mat), 0)):
+            prod = np.zeros_like(x)
+            _jump_table([jump], len(mat))(np.ones(1, dtype=complex), x, prod)
+            out.append(prod)
+        return out
+
     @pytest.mark.parametrize("text", ["a'^2*a*sp", "a^3*sm", "a'*a*t(e,e)"])
     def test_monomial_gather_equals_dense_product(self, text):
+        # a monomial gives each entry from one non-zero product, as the
+        # dense product does, so the two agree to the last bit
         mat = parse_operator(text, JC_MODES).matrix()
         rng = np.random.default_rng(3)
         x = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
-        assert np.array_equal(_left_product(mat)(x), mat @ x)
-        assert np.array_equal(_right_product(mat)(x), x @ mat)
+        left, right = self.products(mat, x)
+        assert np.array_equal(left, mat @ x)
+        assert np.array_equal(right, x @ mat)
 
-    def test_operator_sum_uses_dense_product(self):
+    def test_operator_sum_matches_dense_product(self):
         mat = (
             parse_operator("a", JC_MODES).matrix()
             + parse_operator("a'*sp", JC_MODES).matrix()
         )
         rng = np.random.default_rng(4)
         x = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
-        assert np.allclose(_left_product(mat)(x), mat @ x, rtol=0, atol=1e-12)
-        assert np.allclose(_right_product(mat)(x), x @ mat, rtol=0, atol=1e-12)
+        left, right = self.products(mat, x)
+        assert np.allclose(left, mat @ x, rtol=0, atol=1e-12)
+        assert np.allclose(right, x @ mat, rtol=0, atol=1e-12)
 
 
 class TestCoarseGrain:
