@@ -285,41 +285,45 @@ class OperatorSum:
 
         Mode order follows declaration; bosonic levels ascend, two-level
         basis is (ground, excited).  ``assignment`` resolves any symbols in
-        the coefficients.
+        the coefficients.  Each monomial's non-zeros are placed by index
+        arithmetic in Kronecker order, with the amplitudes multiplied in
+        the order a Kronecker product of the factor matrices would use.
         """
         dims = [mode.dim for mode in self.modes]
         total = int(np.prod(dims)) if dims else 1
         out = np.zeros((total, total), dtype=complex)
         for key, coeff in self.terms.items():
-            value = scalar_eval(coeff, assignment or {})
-            block = np.eye(1, dtype=complex)
+            if coeff.free_symbols:
+                value = scalar_eval(coeff, assignment or {})
+            else:
+                value = complex(coeff)
+            rows = cols = np.zeros(1, dtype=np.intp)
+            amps = np.ones(1, dtype=complex)
             for mode, factor in zip(self.modes, key):
-                block = np.kron(block, _factor_matrix(mode, factor))
-            out += value * block
+                r, c, a = _factor_entries(mode, factor)
+                rows = np.add.outer(rows * mode.dim, r).ravel()
+                cols = np.add.outer(cols * mode.dim, c).ravel()
+                amps = np.multiply.outer(amps, a).ravel()
+            out[rows, cols] += value * amps
         return out
 
 
-def _factor_matrix(mode: ModeSpec, factor: tuple[int, int]) -> np.ndarray:
+def _factor_entries(mode: ModeSpec, factor: tuple[int, int]):
+    """Non-zeros of one mode's factor matrix as ``(rows, cols, amps)``."""
     if mode.kind == "two_level":
         i, j = factor
-        out = np.zeros((2, 2), dtype=complex)
-        out[i, j] = 1.0
-        return out
+        return np.array([i]), np.array([j]), np.ones(1, dtype=complex)
     dim = mode.dim
     m, n = factor
-    out = np.zeros((dim, dim), dtype=complex)
     # <r| adag**m a**n |c> = sqrt(c!/(c-n)!) * sqrt(r!/(r-m)!) delta_{r-m, c-n}
-    for c in range(n, dim):
-        r = c - n + m
-        if r >= dim:
-            continue
-        amp = 1.0
-        for k in range(n):
-            amp *= math.sqrt(c - k)
-        for k in range(m):
-            amp *= math.sqrt(r - k)
-        out[r, c] = amp
-    return out
+    cols = np.arange(n, min(dim, dim - m + n))
+    rows = cols - n + m
+    amps = np.ones(len(cols))
+    for k in range(n):
+        amps *= np.sqrt(cols - k)
+    for k in range(m):
+        amps *= np.sqrt(rows - k)
+    return rows, cols, amps.astype(complex)
 
 
 def monomial_label(modes: Sequence[ModeSpec], key: MonomialKey) -> str:

@@ -11,14 +11,28 @@ Both branches share one right-hand side, ``A(t) rho + rho B(t) +
 sum_j r_j(t) L_j rho J_j`` with ``A = -iH - sum_j r_j JL_j / 2`` and
 ``B = +iH - sum_j r_j JL_j / 2``.  A and B are stored on the union
 non-zero pattern of all H and JL matrices, K slots per row (column),
-and rebuilt per step by one small product over the term coefficients.
-A narrow pattern (``K * GATHER_RATIO <= d``) is applied by K row and K
-column gathers, a wide one by one dense matrix product per side.  The
-jump terms ``L rho J`` form one flat table built from the non-zeros of
-every L and J, K' weighted entries of rho per output entry, applied
-together by one gather of rho, one of the coefficients and one sum over
-the slots.  The RK4 loop works in preallocated arrays and writes samples
-into a preallocated trajectory.
+and rebuilt at each new time by one small product over the term
+coefficients.  A narrow pattern (``K * GATHER_RATIO <= d``) is applied
+by K row and K column gathers, a wide one by one dense matrix product
+per side.  The jump terms ``L rho J`` form one flat table built from
+the non-zeros of every L and J, K' weighted entries of rho per output
+entry, applied together by one gather of rho, one of the coefficients
+and one sum over the slots.  The time-free coefficients are evaluated
+together by one vectorised exp, and a call at the time of the previous
+one (the two RK4 midpoint stages, a step's last stage and the next
+step's first) reuses the coefficient-weighted values.
+
+When rho0 is Hermitian and the terms are closed under conjugation (every
+H term and dissipator has a partner at the opposite frequency with the
+adjoint operators and the conjugate value), ``B = A^dagger`` and the
+jump sum is Hermitian, so :func:`integrate` takes the Hermitian half:
+``X = A rho + U`` with U the jump sum on the upper triangle only (half
+the records, diagonal weights halved) and ``rhs = X + X^dagger``.  Every
+stage and sample is then exactly Hermitian.  Any other input (a
+non-Hermitian rho0, a time-dependent coefficient, an unpaired term)
+takes the general two-sided right-hand side; ``Trajectory.meta["rhs"]``
+records which.  The RK4 loop works in preallocated arrays and writes
+samples into a preallocated trajectory.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import sympy as sp
@@ -86,6 +100,10 @@ class Trajectory:
 
     @property
     def dt(self) -> float:
+        if len(self.times) < 2:
+            raise ValueError(
+                f"need at least 2 samples for a step, got {len(self.times)}"
+            )
         return float(self.times[1] - self.times[0])
 
 
@@ -134,12 +152,20 @@ def build_initial(
                 part[n] = 1.0
             elif factor.startswith("coherent(") and factor.endswith(")"):
                 alpha = complex(factor[9:-1].replace("i", "j"))
+                if not cmath.isfinite(alpha):
+                    raise ValueError(
+                        f"coherent amplitude must be finite, got {factor!r}"
+                    )
+                try:
+                    half_mean = abs(alpha) ** 2 / 2
+                except OverflowError:
+                    half_mean = math.inf  # every amplitude below underflows
                 ns = np.arange(dim)
                 log_fact = np.cumsum(
                     np.concatenate(([0.0], np.log(np.arange(1, dim))))
                 )
                 part = np.exp(
-                    -abs(alpha) ** 2 / 2
+                    -half_mean
                     + ns * np.log(complex(alpha) if alpha != 0 else 1.0)
                     - log_fact / 2
                 )
@@ -150,7 +176,13 @@ def build_initial(
             else:
                 raise ValueError(f"cannot parse state factor {factor!r}")
         vec = np.kron(vec, part)
-    vec = vec / np.linalg.norm(vec)
+    norm = np.linalg.norm(vec)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(
+            f"initial state {spec!r} has no representable amplitude in the "
+            "truncated space"
+        )
+    vec = vec / norm
     return np.outer(vec, vec.conj())
 
 
@@ -159,8 +191,22 @@ def build_initial(
 # ---------------------------------------------------------------------------
 
 
-def _coeff_fn(coeff: sp.Expr, freq: FreqExpr, assignment: Mapping[str, float]):
-    """Numeric function of time for ``coeff * exp(-i*freq*t)``."""
+@dataclass(frozen=True)
+class _Coefficient:
+    """``value * exp(-i*omega*t)``; a time-dependent coefficient keeps its
+    prefactor as ``body(t)`` in place of ``value``."""
+
+    value: complex
+    omega: float
+    body: Callable[[float], complex] | None = None
+
+    def __call__(self, t: float) -> complex:
+        value = complex(self.body(t)) if self.body else self.value
+        return value * cmath.exp(-1j * self.omega * t)
+
+
+def _coefficient(coeff: sp.Expr, freq: FreqExpr, assignment):
+    """``coeff * exp(-i*freq*t)`` with the model symbols substituted."""
     omega = freq.evaluate(assignment)
     values = {
         s: assignment[s.name]
@@ -172,18 +218,16 @@ def _coeff_fn(coeff: sp.Expr, freq: FreqExpr, assignment: Mapping[str, float]):
     if leftover:
         raise KeyError(f"no value for symbol(s) {sorted(leftover)}")
     if TIME in body.free_symbols:
-        fn = sp.lambdify(TIME, body, modules="numpy")
-        return lambda t: complex(fn(t)) * cmath.exp(-1j * omega * t), omega
-    value = complex(body)
-    return lambda t: value * cmath.exp(-1j * omega * t), omega
+        return _Coefficient(0j, omega, sp.lambdify(TIME, body, modules="numpy"))
+    return _Coefficient(complex(body), omega)
 
 
 def _realize(generator, assignment):
     """Term tables, the fastest frequency and the dimension.
 
-    Hamiltonian terms are ``(H, coeff_fn)``; dissipators are ``(L, J, JL,
-    rate_fn)`` with L and J as COO triplets (see :func:`_coo`) and JL
-    dense.
+    Hamiltonian terms are ``(H, coeff)``; dissipators are ``(L, J, JL,
+    rate)`` with L and J as COO triplets (see :func:`_coo`) and JL dense.
+    Coefficients and rates are :class:`_Coefficient`.
     """
     ham = []
     dis = []
@@ -204,20 +248,20 @@ def _realize(generator, assignment):
     else:
         raise TypeError(f"cannot integrate {type(generator).__name__}")
     for term in terms:
-        fn, omega = _coeff_fn(term.coeff, term.freq, assignment)
-        ham.append((term.op.matrix(assignment), fn))
-        fastest = max(fastest, abs(omega))
+        coeff = _coefficient(term.coeff, term.freq, assignment)
+        ham.append((term.op.matrix(assignment), coeff))
+        fastest = max(fastest, abs(coeff.omega))
     for term in dterms:
-        fn, omega = _coeff_fn(term.rate, term.freq, assignment)
+        rate = _coefficient(term.rate, term.freq, assignment)
         lmat = term.left.matrix(assignment)
         jmat = term.right.matrix(assignment)
-        dis.append((_coo(lmat), _coo(jmat), jmat @ lmat, fn))
-        fastest = max(fastest, abs(omega))
+        dis.append((_coo(lmat), _coo(jmat), jmat @ lmat, rate))
+        fastest = max(fastest, abs(rate.omega))
     dim = int(np.prod([m.dim for m in modes]))
     return ham, dis, fastest, dim
 
 
-def _generator(ham, dis, dim: int):
+def _generator(ham, dis, dim: int, hermitian: bool = False):
     """``rhs(t, rho, out)``: ``out = A(t) rho + rho B(t) + sum_j r_j(t)
     L_j rho J_j``.
 
@@ -226,32 +270,158 @@ def _generator(ham, dis, dim: int):
     per-term values are laid out once here; each call combines them with
     one small product over the term coefficients (see
     :func:`_slot_product`).  All jump terms are applied together by one
-    flat gather (see :func:`_jump_table`).  Work arrays are allocated
-    once, so a call allocates no d x d array and a generator is not
-    reentrant.
+    flat gather (see :func:`_jump_table`).  The time-free coefficients are
+    evaluated together by one vectorised exp (see :func:`_evaluator`); a
+    call at the previous call's t reuses all coefficient-weighted values.
+
+    ``hermitian`` promises that every ``rho`` passed in is Hermitian.  If
+    the terms are also closed under conjugation (see
+    :func:`_conjugate_closed`), then ``B = A^dagger`` and the jump sum is
+    Hermitian, and the call takes the Hermitian-half branch: ``X = A rho
+    + U`` with U the jump sum on its upper triangle (diagonal halved), and
+    ``out = X + X^dagger``, exactly Hermitian.  Otherwise it takes the
+    general branch above.  ``rhs.branch`` names the branch taken and
+    ``rhs.jump_records`` counts the jump table's records.
+
+    Work arrays are allocated once, so a call allocates no d x d array
+    and a generator is not reentrant.
     """
     mats = [mat for mat, _ in ham] + [jl for _, _, jl, _ in dis]
-    fns = [fn for _, fn in ham] + [fn for _, _, _, fn in dis]
-    to_left = np.array([-1j] * len(ham) + [-0.5] * len(dis))
-    to_right = np.array([1j] * len(ham) + [-0.5] * len(dis))
+    coefficients = _evaluator([c for _, c in ham] + [c for *_, c in dis])
+    last_t = math.nan
+
+    def update(t):
+        """The coefficients at t, or None when t is the previous call's:
+        an RK4 step's two midpoint stages share t, as do its last stage
+        and the next step's first."""
+        nonlocal last_t
+        if t == last_t:
+            return None
+        last_t = t
+        return coefficients(t)
+
+    half = hermitian and _conjugate_closed(ham, dis)
     pattern = np.zeros((dim, dim), dtype=bool)
     for mat in mats:
         pattern |= mat != 0
-    left = _slot_product(mats, pattern, axis=0)
-    right = _slot_product(mats, pattern, axis=1)
+    # the -i, +i and -1/2 of A and B go into the term values once, so a
+    # call passes the bare coefficients
+    left = _slot_product(
+        [-1j * mat for mat, _ in ham] + [-0.5 * jl for _, _, jl, _ in dis],
+        pattern,
+        axis=0,
+    )
     table = _jump_table(
         [(lop, jop, len(ham) + k) for k, (lop, jop, _, _) in enumerate(dis)],
         dim,
+        upper=half,
     )
+    if half:
+        upper = np.empty((dim, dim), dtype=complex)
 
-    def rhs(t, rho, out):
-        coeffs = np.array([fn(t) for fn in fns], dtype=complex)
-        left(coeffs * to_left, rho, out, add=False)
-        right(coeffs * to_right, rho, out, add=True)
-        table(coeffs, rho, out)
+        def rhs(t, rho, out):
+            coeffs = update(t)
+            left(coeffs, rho, upper, add=False)
+            table(coeffs, rho, upper)
+            np.conjugate(upper.T, out=out)
+            out += upper
+            return out
+
+    else:
+        right = _slot_product(
+            [1j * mat for mat, _ in ham] + [-0.5 * jl for _, _, jl, _ in dis],
+            pattern,
+            axis=1,
+        )
+
+        def rhs(t, rho, out):
+            coeffs = update(t)
+            left(coeffs, rho, out, add=False)
+            right(coeffs, rho, out, add=True)
+            table(coeffs, rho, out)
+            return out
+
+    rhs.branch = "hermitian" if half else "general"
+    rhs.jump_records = table.records
+    return rhs
+
+
+def _evaluator(coeffs: Sequence[_Coefficient]):
+    """``at(t)``: every coefficient at time t, written into one vector that
+    each call reuses.  The time-free ones take one vectorised exp; only
+    time-dependent ones call their ``body``."""
+    values = np.array([c.value for c in coeffs], dtype=complex)
+    omegas = np.array([c.omega for c in coeffs], dtype=float)
+    timed = [(k, c) for k, c in enumerate(coeffs) if c.body is not None]
+    phase = np.empty(len(coeffs), dtype=complex)
+    out = np.empty(len(coeffs), dtype=complex)
+
+    def at(t):
+        np.multiply(omegas, -1j * t, out=phase)
+        np.exp(phase, out=phase)
+        np.multiply(values, phase, out=out)
+        for k, coeff in timed:
+            out[k] = coeff(t)
         return out
 
-    return rhs
+    return at
+
+
+#: Relative mismatch allowed between a term's value and the conjugate of
+#: its partner's in :func:`_conjugate_closed`.
+PAIR_RTOL = 1e-12
+
+
+def _conjugate_closed(ham, dis) -> bool:
+    """Whether the realized terms pair up under conjugation.
+
+    Every coefficient must be time-free.  An H term ``(v, omega, M)``
+    needs a partner ``(v', -omega, M^dagger)`` and a dissipator ``(v,
+    omega, L, J)`` one ``(v', -omega, J^dagger, L^dagger)``, with
+    operators equal exactly and ``v' = conj(v)`` to :data:`PAIR_RTOL`
+    relative; a term may be its own partner.  Operators are compared as
+    COO triplets.
+    """
+    coeffs = [c for _, c in ham] + [c for *_, c in dis]
+    if any(c.body is not None for c in coeffs):
+        return False
+    keys = []
+    for mat, _ in ham:
+        op = _coo(mat)
+        keys.append(("H", _coo_key(op), _coo_key(_adjoint(op))))
+    for lop, jop, _, _ in dis:
+        keys.append(("D", _coo_key(lop) + _coo_key(jop),
+                     _coo_key(_adjoint(jop)) + _coo_key(_adjoint(lop))))
+    waiting: dict = {}  # key -> values of unpaired terms with that key
+    for (kind, own, adj), coeff in zip(keys, coeffs):
+        value, omega = coeff.value, coeff.omega
+        if own == adj and omega == 0 and _conjugates(value, value):
+            continue
+        pending = waiting.get((kind, -omega, adj), [])
+        for n, other in enumerate(pending):
+            if _conjugates(value, other):
+                del pending[n]
+                break
+        else:
+            waiting.setdefault((kind, omega, own), []).append(value)
+    return not any(waiting.values())
+
+
+def _conjugates(a: complex, b: complex) -> bool:
+    return abs(a - b.conjugate()) <= PAIR_RTOL * max(abs(a), abs(b))
+
+
+def _adjoint(triplets):
+    """COO triplets of the conjugate transpose, row-major."""
+    rows, cols, vals = triplets
+    order = np.argsort(cols, kind="stable")
+    return cols[order], rows[order], vals[order].conj()
+
+
+def _coo_key(triplets) -> tuple[bytes, ...]:
+    rows, cols, vals = triplets
+    # + 0 turns a -0.0 part (from conj) into +0.0
+    return rows.tobytes(), cols.tobytes(), (vals + 0).tobytes()
 
 
 def _slot_positions(lines: np.ndarray, n_lines: int):
@@ -281,7 +451,8 @@ def _slots(pattern: np.ndarray):
 def _slot_product(mats, pattern: np.ndarray, axis: int):
     """``apply(c, x, out, add)``: ``out (+)= M(c) @ x`` (``axis=0``) or
     ``x @ M(c)`` (``axis=1``) for ``M(c) = sum_m c[m] * mats[m]``, all
-    non-zeros inside ``pattern``.
+    non-zeros inside ``pattern``.  ``c=None`` reuses the previous call's
+    ``M(c)``.
 
     With K slots per row (column) the product is K row (column) gathers
     of x when ``K * GATHER_RATIO <= d``; otherwise the slot values are
@@ -303,10 +474,11 @@ def _slot_product(mats, pattern: np.ndarray, axis: int):
     values = np.stack([np.where(valid, mat[rows, cols], 0) for mat in mats])
     values = values.reshape(len(mats), -1)
     if k * GATHER_RATIO <= dim:
-        shape = (k, dim, 1) if axis == 0 else (k, 1, dim)
+        vals = np.empty((k, dim, 1) if axis == 0 else (k, 1, dim), dtype=complex)
 
         def gather(c, x, out, add):
-            vals = (c @ values).reshape(shape)
+            if c is not None:
+                np.matmul(c, values, out=vals.reshape(-1))
             for s in range(k):
                 # take with an out array is unbuffered only in clip mode
                 dest = buf if add or s else out
@@ -322,7 +494,8 @@ def _slot_product(mats, pattern: np.ndarray, axis: int):
     mat = np.zeros((dim, dim), dtype=complex)
 
     def dense(c, x, out, add):
-        mat.reshape(-1)[flat] = c @ values
+        if c is not None:
+            mat.reshape(-1)[flat] = c @ values
         dest = buf if add else out
         if axis == 0:
             np.matmul(mat, x, out=dest)
@@ -340,53 +513,72 @@ def _coo(mat: np.ndarray):
     return rows, cols, mat[rows, cols]
 
 
-def _jump_table(jumps, dim: int):
+def _jump_table(jumps, dim: int, upper: bool = False):
     """``apply(c, x, out)``: ``out += sum c[k] L x J`` over the ``(L, J,
     k)`` of ``jumps``, with L and J given as COO triplets (:func:`_coo`).
 
     Entry ``(i, m)`` of ``L x J`` sums ``L[i, a] J[b, m] x[a, b]``, so each
     pair of non-zeros ``L[i, a]``, ``J[b, m]`` is a flat record (output
     ``i*d + m``, input ``a*d + b``, term k, weight ``L[i, a] J[b, m]``);
-    zero weights are dropped.  The records are laid out as K slots per
-    output entry, padded with input 0 and weight 0, so a call is one
-    gather of x, one of c, two products and one sum over the slots, all in
-    preallocated arrays.
+    zero weights are dropped.  With ``upper`` only the records of outputs
+    ``i <= m`` are kept and the diagonal weights are halved, so that for a
+    Hermitian sum S the result U gives ``S = U + U^dagger``.  The records
+    are laid out as K slots per output entry that has any, padded with
+    input 0 and weight 0, so a call is one gather of x, one of c, two
+    products, one sum over the slots and one scatter-add into the
+    C-contiguous ``out``, all in preallocated arrays; ``c=None`` reuses
+    the previous call's ``c``.  ``apply.records`` counts the records.
     """
-    size = dim * dim
     outs, ins, terms, weights = [], [], [], []
     for (i, a, lval), (b, m, jval), k in jumps:
-        weight = np.multiply.outer(lval, jval).ravel()
+        weight = np.multiply.outer(lval, jval)
+        if upper:
+            weight = np.where(np.less_equal.outer(i, m), weight, 0)
+            weight[np.equal.outer(i, m)] *= 0.5
+        weight = weight.ravel()
         keep = np.flatnonzero(weight)
         outs.append(np.add.outer(i * dim, m).ravel()[keep])
         ins.append(np.add.outer(a * dim, b).ravel()[keep])
         terms.append(np.full(len(keep), k))
         weights.append(weight[keep])
-    if not any(map(len, outs)):
-        return lambda c, x, out: None
+    n_records = sum(map(len, outs))
+    if not n_records:
+
+        def noop(c, x, out):
+            pass
+
+        noop.records = 0
+        return noop
     order = np.argsort(np.concatenate(outs), kind="stable")
     outs, ins, terms, weights = (
         np.concatenate(part)[order] for part in (outs, ins, terms, weights)
     )
-    pos, k = _slot_positions(outs, size)
+    targets, slot_of = np.unique(outs, return_inverse=True)
+    pos, k = _slot_positions(slot_of, len(targets))
     # intp: np.take converts any other index type to it on every call
-    index = np.zeros((k, size), dtype=np.intp)
-    term = np.zeros((k, size), dtype=np.intp)
-    weight = np.zeros((k, size), dtype=complex)
-    index[pos, outs] = ins
-    term[pos, outs] = terms
-    weight[pos, outs] = weights
-    gathered = np.empty((k, size), dtype=complex)
-    scaled = np.empty((k, size), dtype=complex)
-    total = np.empty((dim, dim), dtype=complex)
+    index = np.zeros((k, len(targets)), dtype=np.intp)
+    term = np.zeros((k, len(targets)), dtype=np.intp)
+    weight = np.zeros((k, len(targets)), dtype=complex)
+    index[pos, slot_of] = ins
+    term[pos, slot_of] = terms
+    weight[pos, slot_of] = weights
+    gathered = np.empty((k, len(targets)), dtype=complex)
+    scaled = np.empty((k, len(targets)), dtype=complex)
+    total = np.empty(len(targets), dtype=complex)
 
     def apply(c, x, out):
+        if c is not None:
+            np.take(c, term, out=scaled, mode="clip")
+            np.multiply(scaled, weight, out=scaled)
         np.take(x.reshape(-1), index, out=gathered, mode="clip")
-        np.take(c, term, out=scaled, mode="clip")
-        np.multiply(scaled, weight, out=scaled)
         np.multiply(gathered, scaled, out=gathered)
-        np.sum(gathered, axis=0, out=total.reshape(-1))
-        out += total
+        np.sum(gathered, axis=0, out=total)
+        if not out.flags.c_contiguous:
+            # reshape would copy, and the sum would be lost
+            raise ValueError("jump table output must be C-contiguous")
+        out.reshape(-1)[targets] += total
 
+    apply.records = n_records
     return apply
 
 
@@ -423,12 +615,19 @@ def integrate(
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"step must be finite and > 0, got {dt}")
+    if not (math.isfinite(trace_tol) and trace_tol >= 0):
+        raise ValueError(f"trace_tol must be finite and >= 0, got {trace_tol}")
+    rho0 = np.asarray(rho0)
+    if not np.all(np.isfinite(rho0)):
+        raise ValueError("initial state has non-finite entries")
     ham, dis, fastest, dim = _realize(generator, assignment)
     if rho0.shape != (dim, dim):
         raise ValueError(
             f"initial state is {rho0.shape}, model dimension is {dim}"
         )
-    rhs = _generator(ham, dis, dim)
+    rhs = _generator(
+        ham, dis, dim, hermitian=np.array_equal(rho0, rho0.conj().T)
+    )
     del ham, dis  # the dense term matrices, d x d each, are done with
     if dt is None:
         if fastest > 0:
@@ -451,10 +650,11 @@ def integrate(
     k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
     t = t0
     for step in range(n_steps):
+        t_next = t0 + (step + 1) * dt
         rhs(t, rho, k1)
         rhs(t + dt / 2, _axpy(dt / 2, k1, rho, stage), k2)
         rhs(t + dt / 2, _axpy(dt / 2, k2, rho, stage), k3)
-        rhs(t + dt, _axpy(dt, k3, rho, stage), k4)
+        rhs(t_next, _axpy(dt, k3, rho, stage), k4)
         # rho += dt/6 * (((k1 + 2 k2) + 2 k3) + k4)
         k2 *= 2
         k2 += k1
@@ -463,7 +663,7 @@ def integrate(
         k2 += k4
         k2 *= dt / 6
         rho += k2
-        t = t0 + (step + 1) * dt
+        t = t_next
         if (step + 1) % stride == 0:
             if not np.all(np.isfinite(rho)):
                 raise NumericalGuardError(f"non-finite state at t={t}")
@@ -481,6 +681,8 @@ def integrate(
         meta={
             "dt": dt,
             "stride": stride,
+            "rhs": rhs.branch,
+            "jump_records": rhs.jump_records,
             "kind": "tcg" if isinstance(generator, EffectiveModel) else "exact",
         },
     )

@@ -8,6 +8,7 @@ which is why floats are not allowed in :class:`FreqExpr`.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from fractions import Fraction
@@ -309,7 +310,10 @@ class TableFilter(FilterSpec):
 
     def __init__(self, points: Iterable[tuple[float, float]]):
         super().__init__()
-        pts = sorted((float(w), float(v)) for w, v in points)
+        pts = [(float(w), float(v)) for w, v in points]
+        if not all(math.isfinite(w) and math.isfinite(v) for w, v in pts):
+            raise ValueError("table filter points must be finite")
+        pts.sort()
         if len(pts) < 2:
             raise ValueError("table filter needs at least two sample points")
         freqs = [w for w, _ in pts]

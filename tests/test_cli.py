@@ -92,6 +92,14 @@ class TestExitCodes:
         assert code == 3
         assert "outside truncation" in capsys.readouterr().err
 
+    def test_validation_error_on_non_finite_amplitude(self, capsys):
+        code = main(
+            ["simulate", "--preset", "rabi", "--initial", "coherent(nan)*e",
+             "--t1", "0.1ns"]
+        )
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+
     def test_validation_error_on_zero_step(self, capsys):
         code = main(
             ["simulate", "--preset", "rabi", "--initial", "fock(0)*e",

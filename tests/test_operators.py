@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from stcg.operators import (
@@ -9,6 +12,7 @@ from stcg.operators import (
     monomial_label,
     parse_operator,
 )
+from stcg.symbols import scalar_eval
 
 BOSON = (ModeSpec("a", "bosonic", 8),)
 MIXED = (ModeSpec("a", "bosonic", 6), ModeSpec("q", "two_level"))
@@ -107,6 +111,55 @@ class TestParsing:
         op = parse_operator("a'*a", MIXED)
         n = np.diag(np.arange(6, dtype=float))
         assert np.allclose(op.matrix(), np.kron(n, np.eye(2)))
+
+
+def kron_matrix(op, assignment):
+    """Reference matrix: a dense Kronecker product of factor matrices per
+    monomial, each scaled by its evaluated coefficient."""
+    dims = [mode.dim for mode in op.modes]
+    out = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    for key, coeff in op.terms.items():
+        block = np.eye(1, dtype=complex)
+        for mode, (m, n) in zip(op.modes, key):
+            factor = np.zeros((mode.dim, mode.dim), dtype=complex)
+            if mode.kind == "two_level":
+                factor[m, n] = 1.0
+            else:
+                for c in range(n, mode.dim):
+                    r = c - n + m
+                    if r >= mode.dim:
+                        continue
+                    amp = 1.0
+                    for k in range(n):
+                        amp *= math.sqrt(c - k)
+                    for k in range(m):
+                        amp *= math.sqrt(r - k)
+                    factor[r, c] = amp
+            block = np.kron(block, factor)
+        out += scalar_eval(coeff, assignment) * block
+    return out
+
+
+class TestMatrix:
+    MODES = (
+        ModeSpec("a", "bosonic", 5),
+        ModeSpec("b", "bosonic", 3),
+        ModeSpec("q", "two_level"),
+    )
+
+    @pytest.mark.parametrize(
+        "text", ["a'^2*b*sp", "a^3*b'^2*t(e,e)", "a'*a*sz", "b^4", "1"]
+    )
+    def test_equals_kron_reference(self, text):
+        # two bosonic modes and a two-level mode, a symbolic coefficient
+        # beside plain numbers; b^4 is empty at truncation 3
+        g = sp.Symbol("g")
+        op = parse_operator(text, self.MODES)
+        op = (sp.sqrt(2) * g + sp.I / 3) * op + parse_operator(
+            "a'*b", self.MODES
+        )
+        assignment = {"g": 0.7}
+        assert np.array_equal(op.matrix(assignment), kron_matrix(op, assignment))
 
 
 class TestModeSpec:

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from stcg.model import (
     DissipatorTermSpec,
     EffectiveModel,
     HamiltonianTermSpec,
+    load_effective,
     load_model,
 )
 from stcg.operators import ModeSpec, parse_operator
+from stcg.presets import get_preset
 import stcg.simulate as simulate
 from stcg.simulate import (
     GATHER_RATIO,
@@ -32,6 +36,7 @@ from stcg.simulate import (
 from stcg.symbols import TIME, FreqExpr, GaussianFilter
 
 JC_MODES = (ModeSpec("a", "bosonic", 6), ModeSpec("q", "two_level"))
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def jc_model(g="g"):
@@ -128,6 +133,41 @@ def generator_case(name):
     )
 
 
+def rabi_order3(truncation):
+    """The stored order-3 ``rabi`` model at ``truncation`` and the preset's
+    numeric assignment."""
+    doc = json.loads((BENCH_DATA / "rabi_order3.json").read_text())
+    doc["modes"][0]["truncation"] = truncation
+    return (
+        load_effective(doc),
+        load_model(get_preset("rabi")).numeric_assignment(),
+    )
+
+
+def closed_model(extra_hamiltonian=()):
+    """Terms closed under conjugation: H pairs at +/-w, operator-sum jumps
+    ``(L, J)`` and ``(J^dagger, L^dagger)`` with conjugate rates, and
+    self-conjugate H and jump terms."""
+    modes = JC_MODES
+    op = lambda text: parse_operator(text, modes)  # noqa: E731
+    g = sp.Symbol("g")
+    hamiltonian = [
+        (0.3 + 0.4j, "w", op("a'*sm")),
+        (0.3 - 0.4j, "-w", op("a*sp")),
+        (g, "0", op("a'*a")),
+        (1.1, "0", op("sz")),
+        *extra_hamiltonian,
+    ]
+    dissipators = [
+        (0.2 + 0.1j * g, "w", operator_sum(modes, "a", "sm"),
+         operator_sum(modes, "a'^2", "sp")),
+        (0.2 - 0.1j * g, "-w", operator_sum(modes, "a^2", "sm"),
+         operator_sum(modes, "a'", "sp")),
+        (0.5, "0", op("a"), op("a'")),
+    ]
+    return lindblad_model(modes, hamiltonian, dissipators), {"g": 1.3, "w": 2.9}
+
+
 def coefficient_at(expr, freq, assignment, t):
     values = {
         s: t if s == TIME else assignment[s.name] for s in expr.free_symbols
@@ -215,6 +255,18 @@ class TestInitialStates:
     def test_fock_outside_truncation(self, n):
         with pytest.raises(ValueError, match="outside truncation"):
             build_initial(JC_MODES, f"fock({n})*g")
+
+    @pytest.mark.parametrize("alpha", ["nan", "1e400", "1+nanj"])
+    def test_rejects_non_finite_amplitude(self, alpha):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_initial(JC_MODES, f"coherent({alpha})*e")
+
+    @pytest.mark.parametrize("alpha", ["100", "1e200"])
+    def test_rejects_amplitude_that_underflows(self, alpha):
+        # every Fock amplitude underflows at truncation 6; |1e200|^2 is
+        # beyond the float range
+        with pytest.raises(ValueError, match="no representable amplitude"):
+            build_initial(JC_MODES, f"coherent({alpha})*e")
 
 
 class TestIntegrate:
@@ -315,6 +367,21 @@ class TestIntegrate:
         rho0 = build_initial(model.modes, "fock(0)*e")
         with pytest.raises(ValueError, match="window must be finite"):
             integrate(model, rho0, t_span, {"g": 1.0}, n_samples=3)
+
+    @pytest.mark.parametrize("trace_tol", [math.nan, math.inf, -1e-6])
+    def test_rejects_bad_trace_tol(self, trace_tol):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "fock(0)*e")
+        with pytest.raises(ValueError, match="trace_tol"):
+            integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, trace_tol=trace_tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_initial_state(self, bad):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "fock(0)*e")
+        rho0[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, n_samples=3)
 
     def test_rk4_matches_dense_reference(self):
         modes = JC_MODES
@@ -474,6 +541,109 @@ class TestGenerator:
         assert np.all(out == 1)
 
 
+class TestHermitianHalf:
+    """The Hermitian-half right-hand side ``X + X^dagger``."""
+
+    @pytest.mark.parametrize("case", ["rabi-order3", "closed"])
+    def test_matches_dense_formula(self, case):
+        eff, assignment = rabi_order3(6) if case == "rabi-order3" else (
+            closed_model()
+        )
+        ham, dis, _, dim = _realize(eff, assignment)
+        rhs = _generator(ham, dis, dim, hermitian=True)
+        assert rhs.branch == "hermitian"
+        rho = random_density(dim, 9)
+        out = np.empty_like(rho)
+        for t in (0.0, 0.37e-9, 1.9):
+            ref = dense_rhs(eff, assignment, t, rho)
+            got = rhs(t, rho, out)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(got, got.conj().T)
+
+    def test_upper_table_keeps_outputs_on_and_above_the_diagonal(self):
+        eff, assignment = closed_model()
+        ham, dis, _, dim = _realize(eff, assignment)
+        half = _generator(ham, dis, dim, hermitian=True)
+        full = _generator(ham, dis, dim)
+        assert full.branch == "general"
+        upper = sum(
+            np.count_nonzero(np.less_equal.outer(i, m) & (np.multiply.outer(
+                lval, jval) != 0))
+            for (i, _, lval), (_, m, jval), _, _ in dis
+        )
+        assert half.jump_records == upper < full.jump_records
+
+    def test_unpaired_term_is_general(self):
+        # generator_case has a ``w`` rate without its ``-w`` partner
+        eff, assignment = generator_case("wide")
+        ham, dis, _, dim = _realize(eff, assignment)
+        assert _generator(ham, dis, dim, hermitian=True).branch == "general"
+        eff, assignment = closed_model()
+        ham, dis, _, dim = _realize(eff, assignment)
+        assert _generator(ham, dis[1:], dim, hermitian=True).branch == (
+            "general"
+        )
+
+    def test_self_adjoint_term_off_zero_frequency_is_general(self):
+        # sz is its own adjoint, but 1.1 * exp(-i w t) * sz is not Hermitian
+        eff, assignment = closed_model([(1.1, "w", parse_operator(
+            "sz", JC_MODES))])
+        ham, dis, _, dim = _realize(eff, assignment)
+        assert _generator(ham, dis, dim, hermitian=True).branch == "general"
+        eff, assignment = closed_model([(1.1, "w", parse_operator(
+            "sz", JC_MODES)), (1.1, "-w", parse_operator("sz", JC_MODES))])
+        ham, dis, _, dim = _realize(eff, assignment)
+        assert _generator(ham, dis, dim, hermitian=True).branch == "hermitian"
+
+    def test_conjugate_value_mismatch_is_general(self):
+        eff, assignment = closed_model()
+        ham, dis, _, dim = _realize(eff, assignment)
+        coeff = ham[0][1]
+        ham[0] = (ham[0][0], simulate._Coefficient(
+            coeff.value * (1 + 1e-9), coeff.omega))
+        assert _generator(ham, dis, dim, hermitian=True).branch == "general"
+
+    def test_time_dependent_coefficient_is_general(self):
+        eff, assignment = closed_model([(0.1 * TIME, "0", parse_operator(
+            "sz", JC_MODES))])
+        rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
+        traj = integrate(eff, rho0, (0.0, 0.2), assignment, dt=0.01,
+                         n_samples=3)
+        assert traj.meta["rhs"] == "general"
+
+    def test_non_hermitian_state_is_general(self):
+        eff, assignment = closed_model()
+        rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
+        rho0[0, 1] += 1e-9j
+        traj = integrate(eff, rho0, (0.0, 0.2), assignment, dt=0.01,
+                         n_samples=3)
+        assert traj.meta["rhs"] == "general"
+
+    def test_states_exactly_hermitian(self):
+        eff, assignment = closed_model()
+        rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
+        traj = integrate(eff, rho0, (0.0, 0.6), assignment, dt=0.01,
+                         n_samples=7)
+        assert traj.meta["rhs"] == "hermitian"
+        assert traj.meta["jump_records"] > 0
+        for state in traj.states:
+            assert np.array_equal(state, state.conj().T)
+
+    def test_half_and_general_trajectories_agree(self, monkeypatch):
+        eff, assignment = rabi_order3(6)
+        rho0 = build_initial(eff.modes, "coherent(1.2)*e")
+        span = (0.0, 0.3e-9)
+        half = integrate(eff, rho0, span, assignment, n_samples=11)
+        monkeypatch.setattr(simulate, "_conjugate_closed", lambda *_: False)
+        general = integrate(eff, rho0, span, assignment, n_samples=11)
+        assert (half.meta["rhs"], general.meta["rhs"]) == (
+            "hermitian", "general"
+        )
+        assert half.meta["jump_records"] < general.meta["jump_records"]
+        scale = np.max(np.abs(general.states))
+        assert np.max(np.abs(half.states - general.states)) <= 1e-12 * scale
+
+
 class TestOperatorProducts:
     """One jump term ``L x 1`` or ``1 x J`` through the jump table."""
 
@@ -552,6 +722,11 @@ class TestCoarseGrain:
             plain += weight * states[offset : offset + n_out]
         out = coarse_grain_trajectory(traj, tau)
         assert np.array_equal(out.states, plain)
+
+    def test_rejects_single_sample(self):
+        traj = Trajectory([0.0], np.ones((1, 2, 2), dtype=complex), {})
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            coarse_grain_trajectory(traj, 0.1)
 
     def test_margin_error(self):
         times = np.linspace(0, 0.1, 11)

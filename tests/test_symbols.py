@@ -122,6 +122,19 @@ class TestTableFilter:
         numeric = expr.subs(sp.Symbol("w", real=True), sp.Rational(1, 2))
         assert float(f.eval_atoms(numeric)) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(-1.0, 1.0), (math.nan, 0.5), (1.0, 1.0)],
+            [(-1.0, 1.0), (0.0, math.inf), (1.0, 1.0)],
+            [(-math.inf, 1.0), (0.0, 1.0), (1.0, 1.0)],
+        ],
+        ids=["nan-frequency", "inf-value", "inf-frequency"],
+    )
+    def test_rejects_non_finite_points(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            TableFilter(points)
+
 
 class TestScalarEval:
     def test_basic(self):
