@@ -51,10 +51,8 @@ from .simulate import (
 from .symbols import (
     TAU,
     TIME,
-    FilterSpec,
     FreqExpr,
     GaussianFilter,
-    TableFilter,
     scalar_eval,
 )
 
@@ -68,7 +66,6 @@ __all__ = [
     "Diagram",
     "DissipatorTermSpec",
     "EffectiveModel",
-    "FilterSpec",
     "FreqExpr",
     "FrequencyTuple",
     "GaussianFilter",
@@ -79,7 +76,6 @@ __all__ = [
     "ObservableSpec",
     "OperatorSum",
     "PRESETS",
-    "TableFilter",
     "Trajectory",
     "UnresolvedSingularityError",
     "assemble",

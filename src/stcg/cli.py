@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,14 +96,7 @@ def _with_tau(model: ModelSpec, tau_text: str | None) -> ModelSpec:
     tau = parse_quantity(tau_text)
     params = dict(model.params)
     params["tau"] = tau
-    return ModelSpec(
-        name=model.name,
-        modes=model.modes,
-        terms=model.terms,
-        filter_spec=GaussianFilter(tau),
-        params=params,
-        regulator=model.regulator,
-    )
+    return replace(model, filter_spec=GaussianFilter(tau), params=params)
 
 
 # ---------------------------------------------------------------------------

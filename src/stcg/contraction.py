@@ -9,8 +9,7 @@ shifted by a distinct integer multiple of a regulator ``eps`` and the
 diagram is expanded as a truncated Laurent series in ``eps`` by
 :class:`_ShiftSeries`, the exact series kernel that also takes the ramp
 limit of :mod:`stcg.model`.  The poles must cancel in the sum over
-diagrams, and the finite part is the limit.  This needs filters with a
-closed-form profile.
+diagrams, and the finite part is the limit.
 
 The module also carries a slow, independent numerical oracle
 (:func:`bubble_factor_oracle`) that rebuilds the same coefficients from
@@ -28,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import sympy as sp
 
 from .diagrams import Diagram, enumerate_diagrams, slice_frequencies
-from .symbols import FilterSpec, FreqExpr, scalar_eval
+from .symbols import FreqExpr, GaussianFilter, scalar_eval
 
 __all__ = [
     "FrequencyTuple",
@@ -138,7 +137,7 @@ def _diagram_expr(
 def diagram_contribution(
     diagram: Diagram,
     freqs: FrequencyTuple,
-    filter_spec: FilterSpec,
+    filter_spec: GaussianFilter,
 ) -> sp.Expr:
     """Contribution of one diagram at a non-singular frequency tuple.
 
@@ -148,7 +147,8 @@ def diagram_contribution(
     slicing = slice_frequencies(diagram, freqs.mu, freqs.nu)
     for blocks in (slicing.left_blocks, slicing.right_blocks):
         for block in blocks:
-            _, singular = vector_factorial(block)
+            sums = _partial_sums(block)
+            singular = tuple(i + 1 for i, s in enumerate(sums) if s.is_zero)
             if singular:
                 raise ZeroDivisionError(
                     f"diagram {diagram} singular at partial sum(s) {singular}; "
@@ -165,23 +165,19 @@ def diagram_contribution(
 def regularize_singular(
     diagram: Diagram,
     freqs: FrequencyTuple,
-    filter_spec: FilterSpec,
+    filter_spec: GaussianFilter,
 ) -> dict[int, sp.Expr]:
     """Laurent coefficients of a singular diagram in the regulator ``eps``.
 
     Entry ``i`` of ``mu + nu`` is shifted by ``2**i * eps``, so every partial
     sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagram, with
-    the filter's exact profile (:meth:`FilterSpec.exact`), is then expanded
+    the filter's exact profile (:meth:`GaussianFilter.exact`), is then expanded
     by :class:`_ShiftSeries`.  Returns ``{power: coefficient}`` for the
     powers from the lowest one through zero.  A single diagram may keep
     negative powers; those cancel only in the sum over all diagrams of the
     coefficient, which :func:`contraction_coefficient` verifies before
     keeping the finite part.
     """
-    if not filter_spec.symbolic:
-        raise UnresolvedSingularityError(
-            "evaluate-only filters cannot regulate singular frequency tuples"
-        )
     shifted = [
         w.to_sympy() + 2**i * _EPS for i, w in enumerate(freqs.mu + freqs.nu)
     ]
@@ -339,12 +335,12 @@ def _inverse_series(c: list) -> list:
 
 
 def contraction_coefficient(
-    freqs: FrequencyTuple, filter_spec: FilterSpec
+    freqs: FrequencyTuple, filter_spec: GaussianFilter
 ) -> sp.Expr:
     """Closed-form coefficient ``C[l,r](mu, nu)`` as a sympy expression.
 
     Results are memoized per frequency tuple on the filter instance
-    (:attr:`FilterSpec.coefficients`), so they live as long as the filter.
+    (:attr:`GaussianFilter.coefficients`), so they live as long as the filter.
     Singular diagrams are summed as truncated Laurent series in the
     regulator; surviving negative powers raise
     :class:`UnresolvedSingularityError`, otherwise the finite part is exact.
@@ -357,7 +353,7 @@ def contraction_coefficient(
 
 
 def _compute_coefficient(
-    freqs: FrequencyTuple, filter_spec: FilterSpec
+    freqs: FrequencyTuple, filter_spec: GaussianFilter
 ) -> sp.Expr:
     left, right = freqs.weight
     regular_total = sp.Integer(0)
@@ -422,7 +418,7 @@ def _is_plain(factor: sp.Expr) -> bool:
 
 def symmetry_check(
     freqs: FrequencyTuple,
-    filter_spec: FilterSpec,
+    filter_spec: GaussianFilter,
     assignment: Mapping[str, float],
 ) -> dict[str, float]:
     """Residuals of the parity and mirror identities at a numeric point.
@@ -433,20 +429,14 @@ def symmetry_check(
     tuple.  Both residuals are relative to the coefficient magnitude.
     """
     left, right = freqs.weight
-    base = scalar_eval(
-        contraction_coefficient(freqs, filter_spec), assignment, filter_spec
-    )
+    base = scalar_eval(contraction_coefficient(freqs, filter_spec), assignment)
     scale = max(abs(base), 1e-30)
     parity_sign = (-1) ** (left + right - 1)
     flipped = scalar_eval(
-        contraction_coefficient(freqs.negated(), filter_spec),
-        assignment,
-        filter_spec,
+        contraction_coefficient(freqs.negated(), filter_spec), assignment
     )
     mirrored = scalar_eval(
-        contraction_coefficient(freqs.mirrored(), filter_spec),
-        assignment,
-        filter_spec,
+        contraction_coefficient(freqs.mirrored(), filter_spec), assignment
     )
     return {
         "parity": abs(flipped - parity_sign * base) / scale,
@@ -567,7 +557,7 @@ def bubble_factor_oracle(
 
 def numeric_limit_probe(
     freqs: FrequencyTuple,
-    filter_spec: FilterSpec,
+    filter_spec: GaussianFilter,
     assignment: Mapping[str, float],
     offsets: Sequence[float] = (1e-3, 1e-4, 1e-5, 1e-6),
     probe_symbol: str = "_probe",
@@ -593,5 +583,5 @@ def numeric_limit_probe(
     for offset in offsets:
         point = dict(assignment)
         point[probe_symbol] = offset * scale
-        values.append(scalar_eval(expr, point, filter_spec))
+        values.append(scalar_eval(expr, point))
     return values

@@ -23,10 +23,6 @@ __all__ = [
     "slice_frequencies",
 ]
 
-#: Diagrams at or above this total weight are generated lazily.
-_EAGER_WEIGHT_LIMIT = 5
-
-
 @dataclass(frozen=True)
 class Bubble:
     """One averaging block: how many left and right operators it absorbs."""
@@ -100,26 +96,13 @@ def _generate(left: int, right: int) -> Iterator[tuple[Bubble, ...]]:
                 yield (head,) + tail
 
 
-def enumerate_diagrams(left: int, right: int):
-    """All diagrams of weight ``(left, right)`` in deterministic order.
-
-    Returns a tuple for small weights and a lazy iterator once
-    ``left + right`` reaches {_EAGER_WEIGHT_LIMIT} (the census grows
-    roughly like 4**weight).
-    """
+def enumerate_diagrams(left: int, right: int) -> tuple[Diagram, ...]:
+    """All diagrams of weight ``(left, right)`` in deterministic order."""
     if left < 1:
         raise ValueError("need at least one left operator (the generator)")
     if right < 0:
         raise ValueError("right multiplicity must be non-negative")
-    gen = (Diagram(bubbles) for bubbles in _generate(left, right))
-    if left + right >= _EAGER_WEIGHT_LIMIT:
-        return gen
-    return tuple(gen)
-
-
-enumerate_diagrams.__doc__ = enumerate_diagrams.__doc__.format(
-    _EAGER_WEIGHT_LIMIT=_EAGER_WEIGHT_LIMIT
-)
+    return tuple(Diagram(bubbles) for bubbles in _generate(left, right))
 
 
 def count_diagrams(left: int, right: int) -> int:

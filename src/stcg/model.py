@@ -17,7 +17,7 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -39,7 +39,7 @@ from .operators import (
     monomial_label,
     parse_operator,
 )
-from .symbols import TAU, TIME, FilterSpec, FreqExpr, GaussianFilter, scalar_eval
+from .symbols import TAU, TIME, FreqExpr, GaussianFilter, scalar_eval
 
 __all__ = [
     "HamiltonianTermSpec",
@@ -60,6 +60,9 @@ __all__ = [
 
 #: Default name of the frequency-shift regulator used for ramps.
 RAMP_REGULATOR = "delta"
+
+#: A name in an exported coefficient that is not a function call.
+_SYMBOL_RE = re.compile(r"\b[A-Za-z_][A-Za-z_0-9]*\b(?!\s*\()")
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class ModelSpec:
     name: str
     modes: tuple[ModeSpec, ...]
     terms: tuple[HamiltonianTermSpec, ...]
-    filter_spec: FilterSpec
+    filter_spec: GaussianFilter
     params: dict[str, float | None] = field(default_factory=dict)
     regulator: str | None = None
 
@@ -173,7 +176,7 @@ class EffectiveModel:
     modes: tuple[ModeSpec, ...]
     hamiltonian: tuple[HamiltonianTermSpec, ...]
     dissipators: tuple[DissipatorTermSpec, ...]
-    filter_spec: FilterSpec
+    filter_spec: GaussianFilter
     provenance: dict = field(default_factory=dict)
 
     def __eq__(self, other):
@@ -368,14 +371,7 @@ def _complete_conjugates(model: ModelSpec) -> ModelSpec:
         )
         if not found:
             terms.append(partner)
-    return ModelSpec(
-        name=model.name,
-        modes=model.modes,
-        terms=tuple(terms),
-        filter_spec=model.filter_spec,
-        params=model.params,
-        regulator=model.regulator,
-    )
+    return replace(model, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +770,9 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def load_effective(document, filter_spec: FilterSpec | None = None) -> EffectiveModel:
+def load_effective(
+    document, filter_spec: GaussianFilter | None = None
+) -> EffectiveModel:
     """Inverse of :func:`export_model` for the json format."""
     if isinstance(document, str):
         document = json.loads(document)
@@ -820,15 +818,7 @@ def load_effective(document, filter_spec: FilterSpec | None = None) -> Effective
 
 
 def _symbol_names(expr_text: str) -> set[str]:
-    return set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", expr_text)) - {
-        "I",
-        "exp",
-        "sqrt",
-        "pi",
-        "E",
-        "conjugate",
-        "t",
-        "tau",
-        "re",
-        "im",
-    }
+    """Names of the symbols in ``expr_text``: every name that is not a
+    function (followed by ``(``) or one of the constants ``I``, ``E``,
+    ``pi``."""
+    return set(_SYMBOL_RE.findall(expr_text)) - {"I", "E", "pi"}

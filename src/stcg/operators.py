@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import sympy as sp
@@ -21,7 +21,6 @@ from .symbols import scalar_eval
 
 __all__ = [
     "ModeSpec",
-    "OperatorTerm",
     "OperatorSum",
     "DegreeCapError",
     "parse_operator",
@@ -71,21 +70,6 @@ class ModeSpec:
 #   bosonic mode   -> (m, n)  meaning adag**m a**n
 #   two-level mode -> (i, j)  meaning |i><j| with 0 = ground, 1 = excited
 MonomialKey = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class OperatorTerm:
-    """One canonical monomial with a scalar coefficient."""
-
-    key: MonomialKey
-    coeff: sp.Expr
-
-    def degree(self, modes: Sequence[ModeSpec]) -> int:
-        total = 0
-        for mode, factor in zip(modes, self.key):
-            if mode.kind == "bosonic":
-                total += factor[0] + factor[1]
-        return total
 
 
 def _mul_bosonic(f1, f2):
@@ -232,13 +216,6 @@ class OperatorSum:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def canonical_key(self):
-        """Hashable form: sorted monomials with simplified coefficients."""
-        return tuple(
-            (key, sp.nsimplify(sp.expand(coeff)))
-            for key, coeff in sorted(self.terms.items())
-        )
 
     def __eq__(self, other):
         if not isinstance(other, OperatorSum):

@@ -217,9 +217,17 @@ def _coefficient(coeff: sp.Expr, freq: FreqExpr, assignment):
     leftover = {s.name for s in body.free_symbols} - {TIME.name}
     if leftover:
         raise KeyError(f"no value for symbol(s) {sorted(leftover)}")
-    if TIME in body.free_symbols:
+    timed = TIME in body.free_symbols
+    try:
+        value = complex(body.subs(TIME, 0) if timed else body)
+    except TypeError:
+        raise ValueError(
+            f"coefficient {coeff} of the term at frequency {freq} does not "
+            "evaluate to a number"
+        ) from None
+    if timed:
         return _Coefficient(0j, omega, sp.lambdify(TIME, body, modules="numpy"))
-    return _Coefficient(complex(body), omega)
+    return _Coefficient(value, omega)
 
 
 def _realize(generator, assignment):

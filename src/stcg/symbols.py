@@ -1,4 +1,4 @@
-"""Exact frequency bookkeeping, scalar evaluation, and low-pass filter models.
+"""Exact frequency bookkeeping, scalar evaluation, and the Gaussian filter.
 
 Frequencies are linear combinations of named symbols with rational
 coefficients, so "is this combination exactly zero?" is always decidable.
@@ -8,11 +8,10 @@ which is why floats are not allowed in :class:`FreqExpr`.
 
 from __future__ import annotations
 
-import math
 import numbers
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import sympy as sp
 
@@ -20,9 +19,7 @@ __all__ = [
     "TAU",
     "TIME",
     "FreqExpr",
-    "FilterSpec",
     "GaussianFilter",
-    "TableFilter",
     "freq_symbol",
     "scalar_eval",
 ]
@@ -221,22 +218,26 @@ class FreqExpr:
         return text
 
 
-class FilterSpec:
-    """Spectral profile of the coarse-graining window.
+class GaussianFilter:
+    """Gaussian coarse-graining window: ``f(w) = exp(-w**2 * tau**2 / 2)``.
 
-    Subclasses provide ``profile(freq)`` returning a sympy expression (or an
-    opaque atom) for the filter value at a frequency.  ``f(0) == 1`` always.
+    ``tau`` may be the symbol :data:`TAU` (default) or an explicit number.
     A filter also keeps what is derived from it: its profile in exact
     arithmetic (:meth:`exact`, made once, for the regulated limits of
     singular diagrams) and the contraction coefficients computed with it
     (:attr:`coefficients`).
     """
 
-    #: True when ``profile`` returns closed-form expressions that can be
-    #: expanded in a regulator; False for evaluate-only filters.
-    symbolic: bool = False
-
-    def __init__(self):
+    def __init__(self, tau=TAU):
+        if isinstance(tau, numbers.Real) and not isinstance(tau, numbers.Integral):
+            tau = sp.Float(tau)
+        else:
+            tau = sp.sympify(tau)
+        if tau.is_number and not tau.is_finite:
+            raise ValueError(f"filter time scale must be finite, got {tau}")
+        if tau.is_number and tau.is_negative:
+            raise ValueError("filter time scale must be non-negative")
+        self.tau = tau
         self._exact: sp.Expr | None = None
         #: Contraction coefficients computed with this filter, keyed by
         #: frequency tuple (see
@@ -244,7 +245,7 @@ class FilterSpec:
         self.coefficients: dict = {}
 
     def profile(self, freq: sp.Expr) -> sp.Expr:
-        raise NotImplementedError
+        return sp.exp(-(freq**2) * self.tau**2 / 2)
 
     def exact(self, freq: sp.Expr) -> sp.Expr:
         """The profile at ``freq`` in exact arithmetic.
@@ -261,116 +262,17 @@ class FilterSpec:
     def __call__(self, freq) -> sp.Expr:
         if isinstance(freq, FreqExpr):
             freq = freq.to_sympy()
-        freq = sp.sympify(freq)
-        if freq == 0:
-            return sp.Integer(1)
-        return self.profile(freq)
-
-    def eval_atoms(self, expr: sp.Expr) -> sp.Expr:
-        """Replace any opaque filter atoms in ``expr`` by numbers."""
-        return expr
-
-
-class GaussianFilter(FilterSpec):
-    """Gaussian window: ``f(w) = exp(-w**2 * tau**2 / 2)``.
-
-    ``tau`` may be the symbol :data:`TAU` (default) or an explicit number.
-    """
-
-    symbolic = True
-
-    def __init__(self, tau=TAU):
-        super().__init__()
-        if isinstance(tau, numbers.Real) and not isinstance(tau, numbers.Integral):
-            tau = sp.Float(tau)
-        else:
-            tau = sp.sympify(tau)
-        if tau.is_number and not tau.is_finite:
-            raise ValueError(f"filter time scale must be finite, got {tau}")
-        if tau.is_number and tau.is_negative:
-            raise ValueError("filter time scale must be non-negative")
-        self.tau = tau
-
-    def profile(self, freq: sp.Expr) -> sp.Expr:
-        return sp.exp(-(freq**2) * self.tau**2 / 2)
+        return self.profile(sp.sympify(freq))
 
     def __repr__(self):
         return f"GaussianFilter(tau={self.tau})"
 
 
-class TableFilter(FilterSpec):
-    """Evaluate-only filter given by sampled ``(frequency, value)`` pairs.
-
-    Symbolic results carry an opaque atom per frequency; numeric evaluation
-    interpolates linearly and refuses to extrapolate.  Only usable where no
-    frequency combination needs a regulated limit.
-    """
-
-    _count = 0
-
-    def __init__(self, points: Iterable[tuple[float, float]]):
-        super().__init__()
-        pts = [(float(w), float(v)) for w, v in points]
-        if not all(math.isfinite(w) and math.isfinite(v) for w, v in pts):
-            raise ValueError("table filter points must be finite")
-        pts.sort()
-        if len(pts) < 2:
-            raise ValueError("table filter needs at least two sample points")
-        freqs = [w for w, _ in pts]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("table filter has duplicate frequency samples")
-        if not (freqs[0] <= 0.0 <= freqs[-1]):
-            raise ValueError("table filter must bracket zero frequency")
-        self.points = tuple(pts)
-        TableFilter._count += 1
-        self._atom = sp.Function(f"_filtertable{TableFilter._count}")
-
-    def profile(self, freq: sp.Expr) -> sp.Expr:
-        return self._atom(freq)
-
-    def value_at(self, freq: float) -> float:
-        freqs = [w for w, _ in self.points]
-        vals = [v for _, v in self.points]
-        if freq < freqs[0] or freq > freqs[-1]:
-            raise ValueError(
-                f"frequency {freq} outside tabulated range "
-                f"[{freqs[0]}, {freqs[-1]}]"
-            )
-        import bisect
-
-        idx = bisect.bisect_left(freqs, freq)
-        if idx < len(freqs) and freqs[idx] == freq:
-            return vals[idx]
-        w0, w1 = freqs[idx - 1], freqs[idx]
-        v0, v1 = vals[idx - 1], vals[idx]
-        return v0 + (v1 - v0) * (freq - w0) / (w1 - w0)
-
-    def eval_atoms(self, expr: sp.Expr) -> sp.Expr:
-        replacements = {}
-        for atom in expr.atoms(sp.Function):
-            if atom.func is self._atom:
-                arg = atom.args[0]
-                if not arg.is_number:
-                    raise ValueError(
-                        f"cannot evaluate table filter at symbolic frequency {arg}"
-                    )
-                replacements[atom] = sp.Float(self.value_at(float(arg)))
-        return expr.xreplace(replacements) if replacements else expr
-
-    def __repr__(self):
-        return f"TableFilter({len(self.points)} points)"
-
-
-def scalar_eval(
-    expr,
-    assignment: Mapping | None = None,
-    filter_spec: FilterSpec | None = None,
-) -> complex:
+def scalar_eval(expr, assignment: Mapping | None = None) -> complex:
     """Evaluate a scalar expression to a complex number.
 
     ``assignment`` maps symbol names (or sympy symbols) to numbers and must
-    cover every free symbol of ``expr``.  Opaque filter atoms are resolved
-    through ``filter_spec`` after substitution.
+    cover every free symbol of ``expr``.
     """
     expr = sp.sympify(expr)
     subs = {}
@@ -380,8 +282,6 @@ def scalar_eval(
     mapped = expr.subs(
         {s: subs[s.name] for s in expr.free_symbols if s.name in subs}
     )
-    if filter_spec is not None:
-        mapped = filter_spec.eval_atoms(mapped)
     remaining = mapped.free_symbols
     if remaining:
         names = ", ".join(sorted(s.name for s in remaining))

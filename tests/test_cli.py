@@ -160,6 +160,25 @@ class TestExitCodes:
         assert code == 3
         assert "threshold must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coupling", ["foo(g)", "foo(g*t)"])
+    def test_validation_error_on_coefficient_that_is_not_a_number(
+        self, coupling, capsys
+    ):
+        doc = dict(JC_DOC, terms=[
+            {"coupling": coupling, "frequency": "0", "operator": "a*sp"},
+            {"coupling": f"conjugate({coupling})", "frequency": "0",
+             "operator": "a'*sm"},
+        ])
+        text = json.dumps(doc)
+        assert main(["derive", "--model", text, "--order", "1"]) == 0
+        code = main(
+            ["simulate", "--model", text, "--initial", "fock(0)*e",
+             "--t1", "0.1ns", "--samples", "3"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"coefficient {coupling} " in err and "frequency 0" in err
+
     def test_validation_error_on_non_finite_time(self, capsys):
         code = main(
             ["simulate", "--preset", "rabi", "--initial", "coherent(1)*g",
@@ -298,6 +317,27 @@ class TestSimulateAndCompare:
             [*common, "--params", "tau=0.2ns", "-o", str(by_params)]
         ) == 0
         assert by_tau.read_bytes() == by_params.read_bytes()
+        capsys.readouterr()
+
+    def test_effective_coefficient_with_functions(self, tmp_path, capsys):
+        # the factor cancels on parsing, so the run matches the stored file
+        factor = "log(2)*Abs(w)*sin(1)*cos(w*tau)*Min(1, w)"
+        doc = json.loads((BENCH_DATA / "rabi_order1.json").read_text())
+        for entry in doc["hamiltonian"]:
+            if entry["coeff"] == "g/2":
+                entry["coeff"] = f"g*{factor}/(2*{factor})"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        common = ["simulate", "--initial", "fock(0)*e", "--t1", "0.2ns",
+                  "--samples", "3"]
+        out = {}
+        for name, path in (("stored", BENCH_DATA / "rabi_order1.json"),
+                           ("edited", edited)):
+            out[name] = tmp_path / f"{name}.csv"
+            assert main(
+                [*common, "--effective", str(path), "-o", str(out[name])]
+            ) == 0
+        assert out["edited"].read_bytes() == out["stored"].read_bytes()
         capsys.readouterr()
 
     def test_compare_identical_files(self, model_path, tmp_path, capsys):

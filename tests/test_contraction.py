@@ -19,7 +19,7 @@ from stcg.contraction import (
     vector_factorial,
 )
 from stcg.diagrams import enumerate_diagrams
-from stcg.symbols import TAU, FreqExpr, GaussianFilter, TableFilter, scalar_eval
+from stcg.symbols import TAU, FreqExpr, GaussianFilter, scalar_eval
 
 W = FreqExpr.symbol("w")
 V = FreqExpr.symbol("v")
@@ -53,14 +53,14 @@ class TestClosedForms:
         assert a is b
 
     def test_memo_belongs_to_the_filter(self):
-        # Two tables with equal points carry distinct filter atoms; the
-        # second must not receive the first one's coefficient.
-        points = [(-10.0, 0.8), (0.0, 1.0), (10.0, 0.8)]
-        first, second = TableFilter(points), TableFilter(points)
+        # Two filters of equal width keep separate memos: computing with
+        # the first leaves the second's empty, and each keeps its own.
+        first, second = GaussianFilter(0.26e-9), GaussianFilter(0.26e-9)
         freqs = FrequencyTuple((W,))
-        contraction_coefficient(freqs, first)
-        c = contraction_coefficient(freqs, second)
-        assert scalar_eval(c, {"w": 3.0}, second) == pytest.approx(0.94)
+        c = contraction_coefficient(freqs, first)
+        assert freqs in first.coefficients
+        assert freqs not in second.coefficients
+        assert contraction_coefficient(freqs, second) == c
         assert freqs in second.coefficients
         assert freqs not in GaussianFilter().coefficients
 
@@ -99,13 +99,6 @@ class TestSingularTuples:
         probes = numeric_limit_probe(freqs, GAUSS, {"w": 1.3, "tau": 0.7})
         assert abs(probes[-1] - exact) < 1e-4
         assert abs(probes[-1] - exact) < abs(probes[0] - exact)
-
-    def test_table_filter_cannot_regulate(self):
-        table = TableFilter([(-10.0, 0.8), (0.0, 1.0), (10.0, 0.8)])
-        with pytest.raises(UnresolvedSingularityError):
-            contraction_coefficient(
-                FrequencyTuple((FreqExpr.zero(), W)), table
-            )
 
 
 EPS = sp.Symbol("eps", positive=True)

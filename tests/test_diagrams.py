@@ -36,6 +36,11 @@ class TestStructure:
                 assert len(diagrams) == count_diagrams(left, right)
                 assert len(set(map(str, diagrams))) == len(diagrams)
 
+    def test_tuple_at_every_weight(self):
+        diagrams = enumerate_diagrams(4, 3)
+        assert isinstance(diagrams, tuple)
+        assert len(diagrams) == count_diagrams(4, 3)
+
     def test_deterministic_order(self):
         first = [str(d) for d in enumerate_diagrams(2, 1)]
         second = [str(d) for d in enumerate_diagrams(2, 1)]

@@ -515,6 +515,18 @@ class TestPruneExport:
         back = load_effective(json.dumps(doc), eff.filter_spec)
         assert back == eff
 
+    @pytest.mark.parametrize(
+        "coeff",
+        ["g*log(2)", "Abs(wa)", "g*sin(1)", "g*cos(wa*tau)", "Min(1, wa)"],
+    )
+    def test_load_effective_keeps_functions(self, coeff):
+        doc = export_model(assemble(load_model(RABI_DOC), 1), "json")
+        doc["hamiltonian"][0]["coeff"] = coeff
+        back = load_effective(doc)
+        names = {n: sp.Symbol(n, real=True) for n in ("g", "wa")}
+        expected = sp.sympify(coeff, locals={**names, "tau": TAU})
+        assert back.hamiltonian[0].coeff == expected
+
     def test_text_rendering(self):
         text = export_model(self._eff(), "text")
         assert "[hamiltonian]" in text and "[dissipators]" in text

@@ -10,7 +10,6 @@ from stcg.symbols import (
     TAU,
     FreqExpr,
     GaussianFilter,
-    TableFilter,
     scalar_eval,
 )
 
@@ -109,40 +108,8 @@ class TestGaussianFilter:
             assert sp.simplify(c - ref.coeff(eps, k)) == 0
 
 
-class TestTableFilter:
-    def test_interpolation(self):
-        f = TableFilter([(-1.0, 0.5), (0.0, 1.0), (1.0, 0.5)])
-        assert f.value_at(0.5) == pytest.approx(0.75)
-        with pytest.raises(ValueError):
-            f.value_at(2.0)
-
-    def test_eval_atoms(self):
-        f = TableFilter([(-1.0, 0.5), (0.0, 1.0), (1.0, 0.5)])
-        expr = f(FreqExpr.symbol("w"))
-        numeric = expr.subs(sp.Symbol("w", real=True), sp.Rational(1, 2))
-        assert float(f.eval_atoms(numeric)) == pytest.approx(0.75)
-
-    @pytest.mark.parametrize(
-        "points",
-        [
-            [(-1.0, 1.0), (math.nan, 0.5), (1.0, 1.0)],
-            [(-1.0, 1.0), (0.0, math.inf), (1.0, 1.0)],
-            [(-math.inf, 1.0), (0.0, 1.0), (1.0, 1.0)],
-        ],
-        ids=["nan-frequency", "inf-value", "inf-frequency"],
-    )
-    def test_rejects_non_finite_points(self, points):
-        with pytest.raises(ValueError, match="finite"):
-            TableFilter(points)
-
-
 class TestScalarEval:
     def test_basic(self):
         g = sp.Symbol("g", real=True)
         value = scalar_eval(sp.I * g * TAU**2, {"g": 2.0, "tau": 3.0})
         assert value == pytest.approx(18j)
-
-    def test_filter_atoms(self):
-        f = TableFilter([(0.0, 1.0), (2.0, 0.25)])
-        expr = 2 * f(FreqExpr.symbol("w"))
-        assert scalar_eval(expr, {"w": 1.0}, f) == pytest.approx(1.25)
