@@ -11,7 +11,6 @@ from .contraction import (
     bubble_factor_oracle,
     contraction_coefficient,
     symmetry_check,
-    vector_factorial,
 )
 from .diagrams import Bubble, Diagram, count_diagrams, enumerate_diagrams
 from .model import (
@@ -102,5 +101,4 @@ __all__ = [
     "rate_decomposition",
     "scalar_eval",
     "symmetry_check",
-    "vector_factorial",
 ]

@@ -29,6 +29,7 @@ from .model import (
 )
 from .presets import PRESETS, get_preset
 from .simulate import (
+    DEFAULT_SAMPLES,
     NumericalGuardError,
     ObservableSpec,
     build_initial,
@@ -99,6 +100,22 @@ def _with_tau(model: ModelSpec, tau_text: str | None) -> ModelSpec:
     return replace(model, filter_spec=GaussianFilter(tau), params=params)
 
 
+def _check_overrides(overrides, document, eff):
+    """Reject a ``--params`` name other than ``tau`` that an exported model
+    neither lists in its ``params`` nor uses in a coefficient or frequency."""
+    terms = eff.hamiltonian + eff.dissipators
+    values = [t.coeff for t in eff.hamiltonian]
+    values += [t.rate for t in eff.dissipators]
+    known = set(document.get("params", {})) | {"tau"}
+    known |= {s.name for v in values for s in v.free_symbols} - {"t"}
+    known |= {name for t in terms for name in t.freq.symbols}
+    unknown = set(overrides) - known
+    if unknown:
+        raise ValueError(
+            f"effective model declares no symbol(s) {sorted(unknown)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -127,9 +144,6 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-_DEFAULT_SAMPLES = 401
-
-
 def _default_observables(modes):
     out = []
     for mode in modes:
@@ -152,6 +166,7 @@ def _cmd_simulate(args) -> int:
         tau = assignment.get("tau")
         filter_spec = GaussianFilter(tau) if tau is not None else None
         generator = load_effective(document, filter_spec)
+        _check_overrides(overrides, document, generator)
         modes = generator.modes
     else:
         model = _with_tau(_load_model_arg(args), args.tau)
@@ -296,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--t0", default="0s")
     simulate.add_argument("--t1", required=True)
     simulate.add_argument("--dt", help="step override (time quantity)")
-    simulate.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES)
+    simulate.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     simulate.add_argument(
         "--observe",
         action="append",

@@ -32,7 +32,6 @@ from .symbols import FreqExpr, GaussianFilter, scalar_eval
 __all__ = [
     "FrequencyTuple",
     "UnresolvedSingularityError",
-    "vector_factorial",
     "diagram_contribution",
     "regularize_singular",
     "contraction_coefficient",
@@ -87,21 +86,6 @@ def _partial_sums(block: Sequence[FreqExpr]) -> list[FreqExpr]:
     return sums
 
 
-def vector_factorial(block: Sequence[FreqExpr]):
-    """Product of the partial sums of ``block``; empty product is 1.
-
-    Returns ``(expr, singular_indices)`` where ``singular_indices`` lists the
-    1-based positions whose partial sum vanishes identically.  When any
-    position is singular the returned expression is ``None``.
-    """
-    sums = _partial_sums(block)
-    singular = [i + 1 for i, s in enumerate(sums) if s.is_zero]
-    if singular:
-        return None, tuple(singular)
-    expr = sp.Mul(*(s.to_sympy() for s in sums))
-    return expr, ()
-
-
 def _vfac_sympy(block: Sequence[sp.Expr]) -> sp.Expr:
     prod = sp.Integer(1)
     acc = sp.Integer(0)
@@ -120,18 +104,13 @@ def _diagram_expr(
     """Signed diagram term with frequencies already mapped to sympy;
     ``filter_spec`` gives the filter value at a frequency."""
     sign = sp.Integer(-1) ** (len(nu) + diagram.size - 1)
-    li = ri = 0
-    factors = []
-    prefactor = None
-    for bubble in diagram:
-        mblock = mu[li : li + bubble.left]
-        nblock = nu[ri : ri + bubble.right]
-        li += bubble.left
-        ri += bubble.right
-        total = sp.Add(*mblock, *nblock)
-        factors.append(filter_spec(total) / (_vfac_sympy(mblock) * _vfac_sympy(nblock)))
-        prefactor = sp.Add(*mblock)
-    return sign * prefactor * sp.Mul(*factors)
+    blocks = slice_frequencies(diagram, mu, nu)
+    factors = [
+        filter_spec(sp.Add(*mblock, *nblock))
+        / (_vfac_sympy(mblock) * _vfac_sympy(nblock))
+        for mblock, nblock in blocks
+    ]
+    return sign * sp.Add(*blocks[-1][0]) * sp.Mul(*factors)
 
 
 def diagram_contribution(
@@ -144,9 +123,8 @@ def diagram_contribution(
     Raises :class:`ZeroDivisionError` if any partial sum vanishes; singular
     tuples must go through :func:`regularize_singular` instead.
     """
-    slicing = slice_frequencies(diagram, freqs.mu, freqs.nu)
-    for blocks in (slicing.left_blocks, slicing.right_blocks):
-        for block in blocks:
+    for pair in slice_frequencies(diagram, freqs.mu, freqs.nu):
+        for block in pair:
             sums = _partial_sums(block)
             singular = tuple(i + 1 for i, s in enumerate(sums) if s.is_zero)
             if singular:
@@ -496,18 +474,21 @@ def _bubble_sum(
     return total
 
 
+#: Sample times of :func:`bubble_factor_oracle`, in units of the inverse
+#: largest frequency magnitude.
+_ORACLE_TIMES = (0.0, 0.37, 1.113, 2.71, 5.5)
+
+
 def bubble_factor_oracle(
-    mu: Sequence[float],
-    nu: Sequence[float],
-    tau: float,
-    times: Sequence[float] | None = None,
-    profile: Callable[[float], float] | None = None,
+    mu: Sequence[float], nu: Sequence[float], tau: float
 ) -> tuple[complex, float]:
     """Rebuild a contraction coefficient from raw time-average factors.
 
     Sums, per diagram, the product of every bubble's full alternating factor
-    at sample times -- no mass-cancellation shortcut, no closed form.  The
-    diagram sum must collapse onto a single phasor ``exp(-i*W*t)`` with
+    of the Gaussian filter ``exp(-w**2 * tau**2 / 2)`` at the sample times
+    :data:`_ORACLE_TIMES` (over the largest ``|w|``) -- no
+    mass-cancellation shortcut, no closed form.  The diagram sum must
+    collapse onto a single phasor ``exp(-i*W*t)`` with
     ``W = sum(mu) + sum(nu)``; the returned residual measures how far the
     samples deviate from that, and the returned amplitude is the coefficient.
 
@@ -518,11 +499,9 @@ def bubble_factor_oracle(
     left, right = len(mu), len(nu)
     if left < 1:
         raise ValueError("need at least one left frequency")
-    if profile is None:
-        profile = lambda w: math.exp(-(w**2) * tau**2 / 2)  # noqa: E731
-    if times is None:
-        scale = max(abs(w) for w in mu + nu) or 1.0
-        times = [0.0, 0.37 / scale, 1.113 / scale, 2.71 / scale, 5.5 / scale]
+    profile = lambda w: math.exp(-(w**2) * tau**2 / 2)  # noqa: E731
+    scale = max(abs(w) for w in mu + nu) or 1.0
+    times = [t / scale for t in _ORACLE_TIMES]
 
     omega = sum(mu) + sum(nu)
     samples = []
@@ -555,21 +534,26 @@ def bubble_factor_oracle(
     return amplitude, residual
 
 
+#: Offsets of :func:`numeric_limit_probe`, relative to the largest
+#: frequency magnitude (at least 1), and the frequency symbol carrying them.
+_PROBE_OFFSETS = (1e-3, 1e-4, 1e-5, 1e-6)
+_PROBE_SYMBOL = "_probe"
+
+
 def numeric_limit_probe(
     freqs: FrequencyTuple,
     filter_spec: GaussianFilter,
     assignment: Mapping[str, float],
-    offsets: Sequence[float] = (1e-3, 1e-4, 1e-5, 1e-6),
-    probe_symbol: str = "_probe",
 ) -> list[complex]:
     """Values of the coefficient along a shrinking offset off a singular point.
 
-    Each singular direction is displaced by ``offset`` times a distinct
-    power of two (mirroring the exact regulator), and the non-singular
-    closed form is evaluated numerically.  Used as a cross-check that the
-    exact regulated limit is approached continuously.
+    Entry ``i`` of ``mu + nu`` is displaced by ``2**i`` times each offset of
+    :data:`_PROBE_OFFSETS` (scaled by the largest frequency magnitude,
+    at least 1), mirroring the exact regulator, and the non-singular
+    closed form is evaluated numerically: one value per offset.  Used as a
+    cross-check that the exact regulated limit is approached continuously.
     """
-    probe = FreqExpr.symbol(probe_symbol)
+    probe = FreqExpr.symbol(_PROBE_SYMBOL)
     mu = tuple(w + (2**i) * probe for i, w in enumerate(freqs.mu))
     nu = tuple(
         w + (2 ** (len(freqs.mu) + i)) * probe for i, w in enumerate(freqs.nu)
@@ -580,8 +564,8 @@ def numeric_limit_probe(
     )
     expr = contraction_coefficient(shifted, filter_spec)
     values = []
-    for offset in offsets:
+    for offset in _PROBE_OFFSETS:
         point = dict(assignment)
-        point[probe_symbol] = offset * scale
+        point[_PROBE_SYMBOL] = offset * scale
         values.append(scalar_eval(expr, point))
     return values

@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .symbols import FreqExpr
-
 __all__ = [
     "Bubble",
     "Diagram",
-    "FrequencySlicing",
     "enumerate_diagrams",
     "count_diagrams",
     "slice_frequencies",
@@ -71,14 +68,6 @@ class Diagram:
         return f"[{body}]"
 
 
-@dataclass(frozen=True)
-class FrequencySlicing:
-    """Assignment of left/right frequency blocks to each bubble, in order."""
-
-    left_blocks: tuple[tuple[FreqExpr, ...], ...]
-    right_blocks: tuple[tuple[FreqExpr, ...], ...]
-
-
 def _generate(left: int, right: int) -> Iterator[tuple[Bubble, ...]]:
     """Depth-first generation; left-operator moves explored before right."""
     if left + right == 0:
@@ -110,22 +99,23 @@ def count_diagrams(left: int, right: int) -> int:
 
 
 def slice_frequencies(
-    diagram: Diagram,
-    mu: Sequence[FreqExpr],
-    nu: Sequence[FreqExpr] = (),
-) -> FrequencySlicing:
-    """Distribute frequency tuples over bubbles, contiguously from index 1."""
+    diagram: Diagram, mu: Sequence, nu: Sequence = ()
+) -> tuple[tuple[tuple, tuple], ...]:
+    """Distribute frequency tuples over bubbles, contiguously from index 1:
+    one ``(left block, right block)`` pair per bubble, in order.  The
+    entries may be :class:`~stcg.symbols.FreqExpr` or sympy expressions."""
     if len(mu) != diagram.left_total or len(nu) != diagram.right_total:
         raise ValueError(
             f"tuple lengths ({len(mu)}, {len(nu)}) do not match diagram "
             f"weight ({diagram.left_total}, {diagram.right_total})"
         )
-    left_blocks = []
-    right_blocks = []
+    blocks = []
     li = ri = 0
     for bubble in diagram:
-        left_blocks.append(tuple(mu[li : li + bubble.left]))
-        right_blocks.append(tuple(nu[ri : ri + bubble.right]))
+        blocks.append(
+            (tuple(mu[li : li + bubble.left]),
+             tuple(nu[ri : ri + bubble.right]))
+        )
         li += bubble.left
         ri += bubble.right
-    return FrequencySlicing(tuple(left_blocks), tuple(right_blocks))
+    return tuple(blocks)

@@ -17,7 +17,7 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +33,6 @@ from .contraction import (
     contraction_coefficient,
 )
 from .operators import (
-    DEFAULT_DEGREE_CAP,
     ModeSpec,
     OperatorSum,
     monomial_label,
@@ -60,6 +59,10 @@ __all__ = [
 
 #: Default name of the frequency-shift regulator used for ramps.
 RAMP_REGULATOR = "delta"
+
+#: Sample times over a pruning window at which each coefficient's
+#: magnitude is taken (ends included).
+PRUNE_SAMPLES = 9
 
 #: A name in an exported coefficient that is not a function call.
 _SYMBOL_RE = re.compile(r"\b[A-Za-z_][A-Za-z_0-9]*\b(?!\s*\()")
@@ -149,8 +152,16 @@ class ModelSpec:
     def numeric_assignment(
         self, overrides: Mapping[str, float] | None = None
     ) -> dict[str, float]:
+        """Numeric values of the declared symbols, with ``overrides``
+        applied; an override must name a declared symbol or ``tau``."""
+        overrides = overrides or {}
+        unknown = set(overrides) - set(self.params) - {TAU.name}
+        if unknown:
+            raise ValueError(
+                f"model {self.name!r} declares no symbol(s) {sorted(unknown)}"
+            )
         out = {k: v for k, v in self.params.items() if v is not None}
-        out.update(overrides or {})
+        out.update(overrides)
         missing = [
             k for k in self.params if k not in out or out[k] is None
         ]
@@ -270,12 +281,12 @@ def _coupling_locals(names: Iterable[str]) -> dict:
     return out
 
 
-def load_model(document, auto_conjugates: bool = False) -> ModelSpec:
+def load_model(document) -> ModelSpec:
     """Build a :class:`ModelSpec` from a model document (dict, json text,
     or path to a json file).
 
-    With ``auto_conjugates`` missing conjugate partners are added; otherwise
-    a non-Hermitian term list is rejected.
+    The term list must be Hermitian as written: a term without its
+    conjugate partner is rejected, as is a field of the wrong type.
     """
     if isinstance(document, str):
         if document.lstrip().startswith("{"):
@@ -292,10 +303,20 @@ def load_model(document, auto_conjugates: bool = False) -> ModelSpec:
         symbols = [{"name": k, "value": v} for k, v in symbols.items()]
     params: dict[str, float | None] = {}
     for entry in symbols:
+        if not isinstance(entry, Mapping):
+            raise ValueError(
+                f'a "symbols" entry must be an object {{"name": ..., '
+                f'"value": ...}}, got {entry!r}'
+            )
         value = entry.get("value")
         params[entry["name"]] = None if value is None else parse_quantity(value)
 
     filt = document.get("filter", {"kind": "gaussian"})
+    if not isinstance(filt, Mapping):
+        raise ValueError(
+            f'"filter" must be an object such as {{"kind": "gaussian", '
+            f'"tau": "0.2ns"}}, got {filt!r}'
+        )
     if filt.get("kind", "gaussian") != "gaussian":
         raise ValueError(f"unsupported filter kind {filt.get('kind')!r}")
     tau = filt.get("tau")
@@ -314,7 +335,14 @@ def load_model(document, auto_conjugates: bool = False) -> ModelSpec:
         )
     terms = []
     for entry in document.get("terms", []):
-        coeff = sp.sympify(entry["coupling"], locals=locs)
+        coupling = entry["coupling"]
+        if isinstance(coupling, bool) or not isinstance(
+            coupling, (str, int, float)
+        ):
+            raise ValueError(
+                f"coupling must be a string or a number, got {coupling!r}"
+            )
+        coeff = sp.sympify(coupling, locals=locs)
         freq = FreqExpr.parse(entry["frequency"])
         unknown = set(freq.symbols) - set(params)
         if unknown:
@@ -350,28 +378,8 @@ def load_model(document, auto_conjugates: bool = False) -> ModelSpec:
         params=params,
         regulator=regulator,
     )
-    if auto_conjugates:
-        model = _complete_conjugates(model)
     model.check_hermitian()
     return model
-
-
-def _complete_conjugates(model: ModelSpec) -> ModelSpec:
-    terms = list(model.terms)
-    for term in model.terms:
-        partner = term.conjugate()
-        if _is_self_conjugate(term):
-            continue
-        found = any(
-            cand.freq == partner.freq
-            and cand.op == partner.op
-            and _vanishes(cand.coeff - partner.coeff)
-            for cand in terms
-            if cand is not term
-        )
-        if not found:
-            terms.append(partner)
-    return replace(model, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +518,11 @@ def _orders(order, minimum: int) -> list[int]:
     return [k for k in requested if k >= minimum]
 
 
-def _product(
-    terms: Sequence[HamiltonianTermSpec], degree_cap: int
-) -> OperatorSum:
+def _product(terms: Sequence[HamiltonianTermSpec]) -> OperatorSum:
     """Operator product ``terms[0].op @ terms[1].op @ ...``, left to right."""
     op = terms[0].op
     for term in terms[1:]:
-        op = op.matmul(term.op, degree_cap)
+        op = op.matmul(term.op)
     return op
 
 
@@ -540,7 +546,7 @@ def _merge(model: ModelSpec, slots: Mapping) -> list:
 
 
 def effective_hamiltonian(
-    model: ModelSpec, order, degree_cap: int = DEFAULT_DEGREE_CAP
+    model: ModelSpec, order
 ) -> tuple[HamiltonianTermSpec, ...]:
     """Corrected Hamiltonian terms through the given order.
 
@@ -561,7 +567,7 @@ def effective_hamiltonian(
             q = (c_fwd + c_bwd) / 2 * sp.Mul(*(term.coeff for term in combo))
             if q == 0:
                 continue
-            op = _product(combo[::-1], degree_cap)
+            op = _product(combo[::-1])
             total = sum(mu, FreqExpr.zero())
             for key, mono in op.terms.items():
                 slots[key, total] += q * mono
@@ -574,9 +580,7 @@ def effective_hamiltonian(
 
 
 def effective_dissipators(
-    model: ModelSpec,
-    order,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
+    model: ModelSpec, order
 ) -> tuple[DissipatorTermSpec, ...]:
     """Pseudo-dissipator terms through the given order (empty below 2).
 
@@ -604,8 +608,8 @@ def effective_dissipators(
                     rate = -sp.I * (c_fwd - c_bwd) * coupling
                     if rate == 0:
                         continue
-                    left = _product(lcombo[::-1], degree_cap)
-                    right = _product(rcombo, degree_cap)
+                    left = _product(lcombo[::-1])
+                    right = _product(rcombo)
                     total = sum(mu + nu, FreqExpr.zero())
                     for lkey, lmono in left.terms.items():
                         for jkey, jmono in right.terms.items():
@@ -621,17 +625,13 @@ def effective_dissipators(
     )
 
 
-def assemble(
-    model: ModelSpec,
-    order: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> EffectiveModel:
+def assemble(model: ModelSpec, order: int) -> EffectiveModel:
     """Full effective model: Hamiltonian and dissipators through ``order``."""
     return EffectiveModel(
         order=order,
         modes=model.modes,
-        hamiltonian=effective_hamiltonian(model, order, degree_cap),
-        dissipators=effective_dissipators(model, order, degree_cap),
+        hamiltonian=effective_hamiltonian(model, order),
+        dissipators=effective_dissipators(model, order),
         filter_spec=model.filter_spec,
         provenance={"model": model.name},
     )
@@ -671,22 +671,24 @@ def prune_terms(
     threshold: float,
     assignment: Mapping[str, float],
     time_window: tuple[float, float] | None = None,
-    samples: int = 9,
 ) -> EffectiveModel:
     """Drop terms whose peak numeric magnitude is below ``threshold``.
 
-    Time-dependent coefficients are maximized over ``time_window`` on a
-    uniform sample grid.  The dropped-term census lands in provenance.
+    Coefficients are evaluated at t = 0, or, with a ``time_window``, at
+    :data:`PRUNE_SAMPLES` evenly spaced times spanning it, ends included,
+    and the largest magnitude is kept.  The dropped-term census lands in
+    provenance.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if time_window is None:
         times = [0.0]
     else:
-        if samples < 2:
-            raise ValueError(f"need at least 2 samples, got {samples}")
         t0, t1 = time_window
-        times = [t0 + (t1 - t0) * i / (samples - 1) for i in range(samples)]
+        times = [
+            t0 + (t1 - t0) * i / (PRUNE_SAMPLES - 1)
+            for i in range(PRUNE_SAMPLES)
+        ]
     ham = [
         term
         for term in eff.hamiltonian

@@ -10,6 +10,7 @@ resolved symbolically and truncation happens only when a matrix is built.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -28,9 +29,10 @@ __all__ = [
 ]
 
 #: Largest total ladder degree (m + n per bosonic factor) kept symbolically.
-DEFAULT_DEGREE_CAP = 12
+DEGREE_CAP = 12
 
 _G, _E = 0, 1
+_LEVEL = {_G: "g", _E: "e"}
 
 
 class DegreeCapError(ValueError):
@@ -48,6 +50,14 @@ class ModeSpec:
     def __post_init__(self):
         if self.kind not in ("bosonic", "two_level"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
+        if self.truncation is not None and (
+            isinstance(self.truncation, bool)
+            or not isinstance(self.truncation, numbers.Integral)
+        ):
+            raise ValueError(
+                f"mode {self.name!r}: truncation must be an integer, got "
+                f"{self.truncation!r}"
+            )
         if self.kind == "bosonic":
             if self.truncation is not None and self.truncation < 2:
                 raise ValueError("bosonic truncation must be at least 2")
@@ -173,10 +183,9 @@ class OperatorSum:
             return self.__rmul__(other)
         return self.matmul(other)
 
-    def matmul(
-        self, other: "OperatorSum", degree_cap: int = DEFAULT_DEGREE_CAP
-    ) -> "OperatorSum":
-        """Operator product, canonicalized."""
+    def matmul(self, other: "OperatorSum") -> "OperatorSum":
+        """Operator product, canonicalized; a bosonic factor whose ladder
+        degree exceeds :data:`DEGREE_CAP` raises :class:`DegreeCapError`."""
         self._require_same_modes(other)
         out: dict[MonomialKey, sp.Expr] = {}
         for k1, c1 in self.terms.items():
@@ -186,10 +195,10 @@ class OperatorSum:
                     if mode.kind == "bosonic":
                         branch = _mul_bosonic(f1, f2)
                         for _, (m, n) in branch:
-                            if m + n > degree_cap:
+                            if m + n > DEGREE_CAP:
                                 raise DegreeCapError(
                                     f"product degree {m + n} on mode "
-                                    f"{mode.name!r} exceeds cap {degree_cap}"
+                                    f"{mode.name!r} exceeds cap {DEGREE_CAP}"
                                 )
                     else:
                         branch = _mul_two_level(f1, f2)
@@ -231,27 +240,10 @@ class OperatorSum:
     def __str__(self):
         if not self.terms:
             return "0"
-        chunks = []
-        for key, coeff in sorted(self.terms.items()):
-            names = []
-            for mode, factor in zip(self.modes, key):
-                if mode.kind == "bosonic":
-                    m, n = factor
-                    if m:
-                        names.append(
-                            f"{mode.name}'" + (f"^{m}" if m > 1 else "")
-                        )
-                    if n:
-                        names.append(
-                            f"{mode.name}" + (f"^{n}" if n > 1 else "")
-                        )
-                else:
-                    i, j = factor
-                    lab = {_G: "g", _E: "e"}
-                    names.append(f"t({lab[i]},{lab[j]})")
-            body = "*".join(names) if names else "1"
-            chunks.append(f"({coeff})*{body}")
-        return " + ".join(chunks)
+        return " + ".join(
+            f"({coeff})*{_label(self.modes, key)}"
+            for key, coeff in sorted(self.terms.items())
+        )
 
     __repr__ = __str__
 
@@ -309,24 +301,25 @@ def monomial_label(modes: Sequence[ModeSpec], key: MonomialKey) -> str:
     Two-level factors use ``t(i,j)`` addressing; with several two-level
     modes the label would be ambiguous, so that case is rejected.
     """
-    lab = {_G: "g", _E: "e"}
+    if sum(1 for m in modes if m.kind == "two_level") > 1:
+        raise ValueError(
+            "monomial labels are ambiguous with several two-level modes"
+        )
+    return _label(modes, key)
+
+
+def _label(modes: Sequence[ModeSpec], key: MonomialKey) -> str:
+    """Factor names of one monomial joined by ``*``; ``"1"`` if none."""
     names = []
-    n_two_level = sum(1 for m in modes if m.kind == "two_level")
-    for mode, factor in zip(modes, key):
-        if mode.kind == "bosonic":
-            m, n = factor
-            if m:
-                names.append(f"{mode.name}'" + (f"^{m}" if m > 1 else ""))
-            if n:
-                names.append(f"{mode.name}" + (f"^{n}" if n > 1 else ""))
-        else:
-            if n_two_level > 1:
-                raise ValueError(
-                    "monomial labels are ambiguous with several two-level modes"
-                )
-            i, j = factor
-            names.append(f"t({lab[i]},{lab[j]})")
-    return "*".join(names) if names else "1"
+    for mode, (i, j) in zip(modes, key):
+        if mode.kind == "two_level":
+            names.append(f"t({_LEVEL[i]},{_LEVEL[j]})")
+            continue
+        if i:
+            names.append(f"{mode.name}'" + (f"^{i}" if i > 1 else ""))
+        if j:
+            names.append(mode.name + (f"^{j}" if j > 1 else ""))
+    return "*".join(names) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +335,7 @@ _FACTOR_RE = re.compile(
     re.VERBOSE,
 )
 
-_STATE = {"g": _G, "e": _E}
+_STATE = {name: level for level, name in _LEVEL.items()}
 
 
 def _single_two_level(modes: Sequence[ModeSpec]) -> int:
@@ -363,6 +356,10 @@ def parse_operator(text: str, modes: Sequence[ModeSpec]) -> OperatorSum:
     ``sz``, ``sp``, ``sm`` and ``t(i,j)`` address the (unique) two-level
     mode.  The empty string or ``"1"`` is the identity.
     """
+    if not isinstance(text, str):
+        raise ValueError(
+            f"operator must be a string such as \"a'*sm\", got {text!r}"
+        )
     modes = tuple(modes)
     by_name = {m.name: i for i, m in enumerate(modes)}
     result = OperatorSum.identity(modes)

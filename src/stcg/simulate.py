@@ -67,6 +67,16 @@ STEPS_PER_PERIOD = 40
 #: Gaussian kernel support in units of the averaging width.
 KERNEL_SUPPORT = 5.0
 
+#: Samples :func:`integrate` stores when the caller does not say.
+DEFAULT_SAMPLES = 401
+
+#: Largest drift of ``|tr rho|`` a sample of :func:`integrate` may show.
+TRACE_TOL = 1e-6
+
+#: Relative ground-level gap below which :func:`rate_decomposition` masks
+#: a sample.
+GAP_TOL = 1e-9
+
 #: Narrow/wide rule of the generator: an operator pattern with at most K
 #: non-zeros per row (column) is applied by K gathers when
 #: ``K * GATHER_RATIO <= d``, else by one dense product.  A gather costs
@@ -604,15 +614,16 @@ def integrate(
     t_span: tuple[float, float],
     assignment: Mapping[str, float],
     dt: float | None = None,
-    n_samples: int = 401,
-    trace_tol: float = 1e-6,
+    n_samples: int = DEFAULT_SAMPLES,
 ) -> Trajectory:
     """Fixed-step RK4 evolution of a density matrix.
 
     ``generator`` is an :class:`EffectiveModel` (coarse-grained master
     equation) or a :class:`ModelSpec` (exact von Neumann).  Without an
     explicit ``dt`` the step resolves the fastest retained frequency with
-    at least {STEPS_PER_PERIOD} steps per period.
+    at least {STEPS_PER_PERIOD} steps per period.  A stored sample whose
+    state is not finite, or whose ``|tr rho|`` drifted by more than
+    {TRACE_TOL:g}, raises :class:`NumericalGuardError`.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -623,8 +634,6 @@ def integrate(
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"step must be finite and > 0, got {dt}")
-    if not (math.isfinite(trace_tol) and trace_tol >= 0):
-        raise ValueError(f"trace_tol must be finite and >= 0, got {trace_tol}")
     rho0 = np.asarray(rho0)
     if not np.all(np.isfinite(rho0)):
         raise ValueError("initial state has non-finite entries")
@@ -676,9 +685,9 @@ def integrate(
             if not np.all(np.isfinite(rho)):
                 raise NumericalGuardError(f"non-finite state at t={t}")
             drift = abs(abs(np.trace(rho)) - trace0)
-            if drift > trace_tol:
+            if drift > TRACE_TOL:
                 raise NumericalGuardError(
-                    f"trace drift {drift:.2e} exceeds {trace_tol} at t={t}"
+                    f"trace drift {drift:.2e} exceeds {TRACE_TOL} at t={t}"
                 )
             sample = (step + 1) // stride
             times[sample] = t
@@ -703,7 +712,9 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray, out: np.ndarray):
     return out
 
 
-integrate.__doc__ = integrate.__doc__.format(STEPS_PER_PERIOD=STEPS_PER_PERIOD)
+integrate.__doc__ = integrate.__doc__.format(
+    STEPS_PER_PERIOD=STEPS_PER_PERIOD, TRACE_TOL=TRACE_TOL
+)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +804,6 @@ def rate_decomposition(
     eff: EffectiveModel,
     traj: Trajectory,
     assignment: Mapping[str, float],
-    gap_tol: float = 1e-9,
 ):
     """Split d<p0>/dt into inertial and generator-driven parts.
 
@@ -801,7 +811,7 @@ def rate_decomposition(
     the inertial rate follows the ground state's first-order response to
     dH/dt (centered difference), the dynamical rate is the ground-state
     expectation of the dissipator action.  Samples with a (near-)degenerate
-    ground level are masked in the returned flags.
+    ground level (:data:`GAP_TOL`) are masked in the returned flags.
     """
     ham, dis, _, dim = _realize(eff, assignment)
     dissipate = _generator((), dis, dim)
@@ -813,7 +823,7 @@ def rate_decomposition(
     for i, t in enumerate(traj.times):
         h = _hamiltonian_at(ham, dim, t)
         vals, vecs = np.linalg.eigh(h)
-        if len(vals) > 1 and vals[1] - vals[0] < gap_tol * max(
+        if len(vals) > 1 and vals[1] - vals[0] < GAP_TOL * max(
             1.0, abs(vals[-1])
         ):
             continue

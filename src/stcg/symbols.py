@@ -103,7 +103,9 @@ class FreqExpr:
     def parse(cls, text: str) -> "FreqExpr":
         """Parse strings like ``"wc + wa"``, ``"-2*wp"`` or ``"5/6*wd"``."""
         if not isinstance(text, str):
-            raise TypeError(f"expected string, got {type(text).__name__}")
+            raise ValueError(
+                f"frequency must be a string such as 'wc - wa', got {text!r}"
+            )
         stripped = text.strip()
         if stripped in ("0", ""):
             return cls.zero()

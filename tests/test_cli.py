@@ -179,6 +179,57 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"coefficient {coupling} " in err and "frequency 0" in err
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("terms", 0, "frequency"), 0, "frequency must be a string"),
+            *(
+                (("modes", 0, "truncation"), bad,
+                 "truncation must be an integer")
+                for bad in ("6", 2.5, 6.0, True)
+            ),
+            (("filter",), "gaussian", '"filter" must be an object'),
+            (("terms", 0, "operator"), 5, "operator must be a string"),
+            (("terms", 0, "coupling"), None, "coupling must be a string"),
+            (("symbols",), ["w", "g"], '"symbols" entry must be an object'),
+        ],
+    )
+    def test_validation_error_on_wrong_typed_field(
+        self, path, value, message, capsys
+    ):
+        doc = json.loads(json.dumps(JC_DOC))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code = main(["derive", "--model", json.dumps(doc), "--order", "1"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_validation_error_on_undeclared_param(self, model_path, capsys):
+        code = main(
+            ["simulate", "--model", model_path, "--initial", "fock(0)*e",
+             "--t1", "0.1ns", "--samples", "3", "--params", "gg=2GHz"]
+        )
+        assert code == 3
+        assert "declares no symbol(s) ['gg']" in capsys.readouterr().err
+
+    def test_validation_error_on_undeclared_effective_param(
+        self, model_path, tmp_path, capsys
+    ):
+        eff = tmp_path / "eff.json"
+        assert main(
+            ["derive", "--model", model_path, "--order", "1", "-o", str(eff)]
+        ) == 0
+        common = ["simulate", "--effective", str(eff), "--initial",
+                  "fock(0)*e", "--t1", "0.1ns", "--samples", "3"]
+        assert main(
+            [*common, "--params", "g=2pi*40MHz,w=2pi*1.1GHz,tau=0.3ns"]
+        ) == 0
+        capsys.readouterr()
+        assert main([*common, "--params", "gg=2GHz"]) == 3
+        assert "declares no symbol(s) ['gg']" in capsys.readouterr().err
+
     def test_validation_error_on_non_finite_time(self, capsys):
         code = main(
             ["simulate", "--preset", "rabi", "--initial", "coherent(1)*g",

@@ -16,9 +16,8 @@ from stcg.contraction import (
     numeric_limit_probe,
     regularize_singular,
     symmetry_check,
-    vector_factorial,
 )
-from stcg.diagrams import enumerate_diagrams
+from stcg.diagrams import Bubble, Diagram, enumerate_diagrams
 from stcg.symbols import TAU, FreqExpr, GaussianFilter, scalar_eval
 
 W = FreqExpr.symbol("w")
@@ -90,6 +89,12 @@ class TestSingularTuples:
             FrequencyTuple((FreqExpr.zero(), FreqExpr.zero())), GAUSS
         )
         assert sp.simplify(c) == 0
+
+    def test_diagram_contribution_names_singular_partial_sum(self):
+        diagram = Diagram((Bubble(3, 0),))
+        freqs = FrequencyTuple((W, -W, V))
+        with pytest.raises(ZeroDivisionError, match=r"sum\(s\) \(2,\)"):
+            diagram_contribution(diagram, freqs, GAUSS)
 
     def test_numeric_limit_probe_agrees(self):
         freqs = FrequencyTuple((FreqExpr.zero(), W))
@@ -188,23 +193,6 @@ class TestLaurentKernel:
         )
         with pytest.raises(UnresolvedSingularityError, match="poles survive"):
             contraction._compute_coefficient(freqs, GAUSS)
-
-
-class TestVectorFactorial:
-    def test_regular(self):
-        expr, singular = vector_factorial((W, V))
-        assert not singular
-        assert sp.simplify(expr - WS * (WS + VS)) == 0
-
-    def test_singular_positions(self):
-        expr, singular = vector_factorial((W, -W, V))
-        assert expr is None
-        assert tuple(singular) == (2,)
-
-    def test_empty(self):
-        expr, singular = vector_factorial(())
-        assert not singular
-        assert expr == 1
 
 
 class TestSymmetries:

@@ -96,11 +96,14 @@ class TestLoadModel:
         with pytest.raises(ValueError):
             load_model(doc).check_hermitian()
 
-    def test_auto_conjugates(self):
-        doc = dict(RABI_DOC, terms=RABI_DOC["terms"][::2])
-        m = load_model(doc, auto_conjugates=True)
-        assert len(m.terms) == 4
-        m.check_hermitian()
+    def test_numeric_assignment_rejects_undeclared_override(self):
+        model = load_model(RABI_DOC)
+        point = model.numeric_assignment({"wc": 20.0, "wa": 21.0, "g": 0.5,
+                                          "tau": 0.4})
+        assert point["tau"] == 0.4
+        with pytest.raises(ValueError, match=r"no symbol\(s\) \['gg'\]"):
+            model.numeric_assignment({"wc": 20.0, "g": 0.5, "gg": 0.5})
+
 
 
 class TestRamps:
@@ -493,14 +496,6 @@ class TestPruneExport:
             len(eff.hamiltonian) - len(pruned.hamiltonian)
             + len(eff.dissipators) - len(pruned.dissipators)
         )
-
-    @pytest.mark.parametrize("samples", [0, 1])
-    def test_prune_window_rejects_too_few_samples(self, samples):
-        eff = assemble(load_model(RABI_DOC), 1)
-        point = {"wa": 20.0, "wc": 21.0, "g": 0.5, "tau": 0.4}
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            prune_terms(eff, 1e-6, point, time_window=(0.0, 1.0),
-                        samples=samples)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1e-6])
     def test_prune_rejects_bad_threshold(self, threshold):

@@ -368,13 +368,6 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="window must be finite"):
             integrate(model, rho0, t_span, {"g": 1.0}, n_samples=3)
 
-    @pytest.mark.parametrize("trace_tol", [math.nan, math.inf, -1e-6])
-    def test_rejects_bad_trace_tol(self, trace_tol):
-        model = jc_model()
-        rho0 = build_initial(model.modes, "fock(0)*e")
-        with pytest.raises(ValueError, match="trace_tol"):
-            integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, trace_tol=trace_tol)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_initial_state(self, bad):
         model = jc_model()
