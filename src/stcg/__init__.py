@@ -29,7 +29,6 @@ from .model import (
     prune_terms,
 )
 from .operators import (
-    DegreeCapError,
     ModeSpec,
     OperatorSum,
     monomial_label,
@@ -61,7 +60,6 @@ __all__ = [
     "TAU",
     "TIME",
     "Bubble",
-    "DegreeCapError",
     "Diagram",
     "DissipatorTermSpec",
     "EffectiveModel",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -775,23 +776,30 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
 def load_effective(
     document, filter_spec: GaussianFilter | None = None
 ) -> EffectiveModel:
-    """Inverse of :func:`export_model` for the json format."""
+    """Inverse of :func:`export_model` for the json format.
+
+    A ``coeff``, ``rate``, ``L`` or ``J`` that is not a string, or an
+    ``order`` that is not an integer of at least 1, raises ``ValueError``
+    naming the field.
+    """
     if isinstance(document, str):
         document = json.loads(document)
+    order = document.get("order")
+    if (
+        isinstance(order, bool)
+        or not isinstance(order, numbers.Integral)
+        or order < 1
+    ):
+        raise ValueError(
+            f'effective model "order" must be an integer >= 1, got {order!r}'
+        )
     modes = tuple(
         ModeSpec(m["name"], m["kind"], m.get("truncation"))
         for m in document["modes"]
     )
-    locs = _coupling_locals(
-        set().union(
-            *(
-                _symbol_names(entry.get("coeff") or entry.get("rate"))
-                for entry in document["hamiltonian"] + document["dissipators"]
-            )
-        )
-        if (document["hamiltonian"] or document["dissipators"])
-        else []
-    )
+    values = [_text_field(entry, "coeff") for entry in document["hamiltonian"]]
+    values += [_text_field(entry, "rate") for entry in document["dissipators"]]
+    locs = _coupling_locals(set().union(*map(_symbol_names, values)))
     ham = tuple(
         HamiltonianTermSpec(
             sp.sympify(entry["coeff"], locals=locs),
@@ -804,19 +812,30 @@ def load_effective(
         DissipatorTermSpec(
             sp.sympify(entry["rate"], locals=locs),
             FreqExpr.parse(entry["frequency"]),
-            parse_operator(entry["L"], modes),
-            parse_operator(entry["J"], modes),
+            parse_operator(_text_field(entry, "L"), modes),
+            parse_operator(_text_field(entry, "J"), modes),
         )
         for entry in document["dissipators"]
     )
     return EffectiveModel(
-        order=document["order"],
+        order=order,
         modes=modes,
         hamiltonian=ham,
         dissipators=dis,
         filter_spec=filter_spec or GaussianFilter(),
         provenance={"loaded": True},
     )
+
+
+def _text_field(entry: Mapping, key: str) -> str:
+    """``entry[key]``, which an exported term stores as a string."""
+    value = entry.get(key)
+    if not isinstance(value, str):
+        raise ValueError(
+            f'effective model term field "{key}" must be a string, got '
+            f"{value!r}"
+        )
+    return value
 
 
 def _symbol_names(expr_text: str) -> set[str]:

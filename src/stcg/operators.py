@@ -23,20 +23,12 @@ from .symbols import scalar_eval
 __all__ = [
     "ModeSpec",
     "OperatorSum",
-    "DegreeCapError",
     "parse_operator",
     "monomial_label",
 ]
 
-#: Largest total ladder degree (m + n per bosonic factor) kept symbolically.
-DEGREE_CAP = 12
-
 _G, _E = 0, 1
 _LEVEL = {_G: "g", _E: "e"}
-
-
-class DegreeCapError(ValueError):
-    """A product exceeded the configured ladder-degree cap."""
 
 
 @dataclass(frozen=True)
@@ -184,8 +176,7 @@ class OperatorSum:
         return self.matmul(other)
 
     def matmul(self, other: "OperatorSum") -> "OperatorSum":
-        """Operator product, canonicalized; a bosonic factor whose ladder
-        degree exceeds :data:`DEGREE_CAP` raises :class:`DegreeCapError`."""
+        """Operator product, canonicalized."""
         self._require_same_modes(other)
         out: dict[MonomialKey, sp.Expr] = {}
         for k1, c1 in self.terms.items():
@@ -194,12 +185,6 @@ class OperatorSum:
                 for mode, f1, f2 in zip(self.modes, k1, k2):
                     if mode.kind == "bosonic":
                         branch = _mul_bosonic(f1, f2)
-                        for _, (m, n) in branch:
-                            if m + n > DEGREE_CAP:
-                                raise DegreeCapError(
-                                    f"product degree {m + n} on mode "
-                                    f"{mode.name!r} exceeds cap {DEGREE_CAP}"
-                                )
                     else:
                         branch = _mul_two_level(f1, f2)
                     partial = [

@@ -30,8 +30,23 @@ jump sum is Hermitian, so :func:`integrate` takes the Hermitian half:
 the records, diagonal weights halved) and ``rhs = X + X^dagger``.  Every
 stage and sample is then exactly Hermitian.  Any other input (a
 non-Hermitian rho0, a time-dependent coefficient, an unpaired term)
-takes the general two-sided right-hand side; ``Trajectory.meta["rhs"]``
-records which.  The RK4 loop works in preallocated arrays and writes
+takes the general two-sided right-hand side.
+
+A unitary run takes the vector path instead: when the realized
+generator has no dissipators, every coefficient is time-free, the H
+terms are closed under conjugation (so H(t) is Hermitian) and rho0 is
+exactly Hermitian and positive semidefinite, rho0 is split as ``Psi
+Psi^dagger`` by a pivoted Cholesky (rank r) and RK4 integrates ``Psi' =
+-i H(t) Psi`` on the d x r block, applying A by the same slot product.
+Each sample stores ``Psi Psi^dagger`` made exactly Hermitian.  Unlike
+rho-RK4, whose generator is trace-free, RK4 on vectors loses norm (about
+theta^6/72 a step), so the vector path runs one sample interval at a
+time and repeats an interval at twice the steps, keeping the finer
+stride, while ``sum |psi|^2`` fell by more than ``TRACE_TOL / 2 /
+(n_samples - 1)``.  ``Trajectory.meta["rhs"]`` records the path taken
+(``vector``, ``hermitian`` or ``general``) and ``meta["steps"]`` the RK4
+steps, repeated intervals included.  Every path shares one RK4 loop
+with stage times ``t0 + n*dt``, works in preallocated arrays and writes
 samples into a preallocated trajectory.
 """
 
@@ -279,7 +294,7 @@ def _realize(generator, assignment):
     return ham, dis, fastest, dim
 
 
-def _generator(ham, dis, dim: int, hermitian: bool = False):
+def _generator(ham, dis, dim: int, hermitian: bool = False, vectors: int = 0):
     """``rhs(t, rho, out)``: ``out = A(t) rho + rho B(t) + sum_j r_j(t)
     L_j rho J_j``.
 
@@ -298,26 +313,18 @@ def _generator(ham, dis, dim: int, hermitian: bool = False):
     Hermitian, and the call takes the Hermitian-half branch: ``X = A rho
     + U`` with U the jump sum on its upper triangle (diagonal halved), and
     ``out = X + X^dagger``, exactly Hermitian.  Otherwise it takes the
-    general branch above.  ``rhs.branch`` names the branch taken and
+    general branch above.
+
+    ``vectors = r > 0``, for ``dis`` empty, takes the vector branch
+    instead: the operand is a d x r block of state vectors and ``out =
+    A(t) psi = -i H(t) psi``.  ``rhs.branch`` names the branch taken and
     ``rhs.jump_records`` counts the jump table's records.
 
-    Work arrays are allocated once, so a call allocates no d x d array
-    and a generator is not reentrant.
+    Work arrays are allocated once, so a call allocates no array the size
+    of its operand and a generator is not reentrant.
     """
     mats = [mat for mat, _ in ham] + [jl for _, _, jl, _ in dis]
     coefficients = _evaluator([c for _, c in ham] + [c for *_, c in dis])
-    last_t = math.nan
-
-    def update(t):
-        """The coefficients at t, or None when t is the previous call's:
-        an RK4 step's two midpoint stages share t, as do its last stage
-        and the next step's first."""
-        nonlocal last_t
-        if t == last_t:
-            return None
-        last_t = t
-        return coefficients(t)
-
     half = hermitian and _conjugate_closed(ham, dis)
     pattern = np.zeros((dim, dim), dtype=bool)
     for mat in mats:
@@ -328,7 +335,17 @@ def _generator(ham, dis, dim: int, hermitian: bool = False):
         [-1j * mat for mat, _ in ham] + [-0.5 * jl for _, _, jl, _ in dis],
         pattern,
         axis=0,
+        shape=(dim, vectors or dim),
     )
+    if vectors:
+
+        def rhs(t, psi, out):
+            left(coefficients(t), psi, out, add=False)
+            return out
+
+        rhs.branch = "vector"
+        rhs.jump_records = 0
+        return rhs
     table = _jump_table(
         [(lop, jop, len(ham) + k) for k, (lop, jop, _, _) in enumerate(dis)],
         dim,
@@ -338,7 +355,7 @@ def _generator(ham, dis, dim: int, hermitian: bool = False):
         upper = np.empty((dim, dim), dtype=complex)
 
         def rhs(t, rho, out):
-            coeffs = update(t)
+            coeffs = coefficients(t)
             left(coeffs, rho, upper, add=False)
             table(coeffs, rho, upper)
             np.conjugate(upper.T, out=out)
@@ -353,7 +370,7 @@ def _generator(ham, dis, dim: int, hermitian: bool = False):
         )
 
         def rhs(t, rho, out):
-            coeffs = update(t)
+            coeffs = coefficients(t)
             left(coeffs, rho, out, add=False)
             right(coeffs, rho, out, add=True)
             table(coeffs, rho, out)
@@ -367,14 +384,22 @@ def _generator(ham, dis, dim: int, hermitian: bool = False):
 def _evaluator(coeffs: Sequence[_Coefficient]):
     """``at(t)``: every coefficient at time t, written into one vector that
     each call reuses.  The time-free ones take one vectorised exp; only
-    time-dependent ones call their ``body``."""
+    time-dependent ones call their ``body``.  A call at the previous
+    call's t returns None, for the caller to reuse what it made of the
+    previous values: an RK4 step's two midpoint stages share t, as do its
+    last stage and the next step's first."""
     values = np.array([c.value for c in coeffs], dtype=complex)
     omegas = np.array([c.omega for c in coeffs], dtype=float)
     timed = [(k, c) for k, c in enumerate(coeffs) if c.body is not None]
     phase = np.empty(len(coeffs), dtype=complex)
     out = np.empty(len(coeffs), dtype=complex)
+    last_t = math.nan
 
     def at(t):
+        nonlocal last_t
+        if t == last_t:
+            return None
+        last_t = t
         np.multiply(omegas, -1j * t, out=phase)
         np.exp(phase, out=phase)
         np.multiply(values, phase, out=out)
@@ -466,11 +491,11 @@ def _slots(pattern: np.ndarray):
     return index, valid
 
 
-def _slot_product(mats, pattern: np.ndarray, axis: int):
+def _slot_product(mats, pattern: np.ndarray, axis: int, shape=None):
     """``apply(c, x, out, add)``: ``out (+)= M(c) @ x`` (``axis=0``) or
     ``x @ M(c)`` (``axis=1``) for ``M(c) = sum_m c[m] * mats[m]``, all
     non-zeros inside ``pattern``.  ``c=None`` reuses the previous call's
-    ``M(c)``.
+    ``M(c)``.  ``shape`` is the shape of x and out, d x d by default.
 
     With K slots per row (column) the product is K row (column) gathers
     of x when ``K * GATHER_RATIO <= d``; otherwise the slot values are
@@ -487,7 +512,7 @@ def _slot_product(mats, pattern: np.ndarray, axis: int):
         return empty
     lines = np.broadcast_to(np.arange(dim), index.shape)
     rows, cols = (lines, index) if axis == 0 else (index, lines)
-    buf = np.empty((dim, dim), dtype=complex)
+    buf = np.empty(shape or (dim, dim), dtype=complex)
     # padding slots hold 0 in every term, so they add nothing
     values = np.stack([np.where(valid, mat[rows, cols], 0) for mat in mats])
     values = values.reshape(len(mats), -1)
@@ -624,6 +649,27 @@ def integrate(
     at least {STEPS_PER_PERIOD} steps per period.  A stored sample whose
     state is not finite, or whose ``|tr rho|`` drifted by more than
     {TRACE_TOL:g}, raises :class:`NumericalGuardError`.
+
+    A unitary run takes the vector path: when the realized generator has
+    no dissipators, every coefficient is time-free and the terms pair up
+    under conjugation (so H(t) is Hermitian), and rho0 is exactly
+    Hermitian and positive semidefinite, rho0 is split as ``Psi Psi^dagger``
+    (pivoted Cholesky, rank r) and RK4 integrates ``Psi' = -i H(t) Psi``
+    on the d x r block.  Each sample stores ``Psi Psi^dagger`` made exactly
+    Hermitian.  RK4 on vectors loses norm (about theta^6/72 a step), so
+    the vector path runs one sample interval at a time: an interval that
+    lost more than ``TRACE_TOL / 2 / (n_samples - 1)`` of ``sum |psi|^2``
+    is run again at twice the steps, and the finer stride is kept; a loss
+    that does not shrink as the step halves raises
+    :class:`NumericalGuardError`.  A norm that rose or is not finite marks
+    an unstable step, left to the guard above.  Any other input takes the
+    density-matrix paths of :func:`_generator`.
+
+    ``Trajectory.meta`` holds ``rhs`` (``"vector"``, ``"hermitian"`` or
+    ``"general"``), ``steps`` (RK4 steps taken, repeated intervals
+    included), the final ``dt`` and ``stride`` (steps per sample
+    interval), ``jump_records``, ``kind`` and, on the vector path,
+    ``rank`` (r).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -642,9 +688,16 @@ def integrate(
         raise ValueError(
             f"initial state is {rho0.shape}, model dimension is {dim}"
         )
-    rhs = _generator(
-        ham, dis, dim, hermitian=np.array_equal(rho0, rho0.conj().T)
-    )
+    hermitian = np.array_equal(rho0, rho0.conj().T)
+    psi = None
+    if hermitian and not dis and _conjugate_closed(ham, ()):
+        psi = _split(rho0)
+    if psi is None:
+        rhs = _generator(ham, dis, dim, hermitian=hermitian)
+        state = np.array(rho0, dtype=complex)
+    else:
+        rhs = _generator(ham, dis, dim, vectors=psi.shape[1])
+        state = psi
     del ham, dis  # the dense term matrices, d x d each, are done with
     if dt is None:
         if fastest > 0:
@@ -653,56 +706,142 @@ def integrate(
             dt = (t1 - t0) / 1000
     sample_dt = (t1 - t0) / (n_samples - 1)
     stride = max(1, math.ceil(sample_dt / dt))
-    dt = sample_dt / stride
-    n_steps = stride * (n_samples - 1)
+    budget = TRACE_TOL / 2 / (n_samples - 1)
 
-    rho = np.array(rho0, dtype=complex)
-    trace0 = abs(np.trace(rho))
+    advance = _rk4(rhs, state)
+    trace0 = abs(np.trace(rho0))
     times = np.empty(n_samples)
     states = np.empty((n_samples, dim, dim), dtype=complex)
     times[0] = t0
-    states[0] = rho
+    states[0] = rho0
+    steps = 0
+    for sample in range(1, n_samples):
+        if psi is None:
+            advance(t0, sample_dt / stride, (sample - 1) * stride, stride)
+            steps += stride
+            states[sample] = state
+        else:
+            stride, taken = _norm_refined(
+                advance, state, t0, sample_dt, sample, stride, budget
+            )
+            steps += taken
+            _hermitian_outer(state, states[sample])
+        dt = sample_dt / stride
+        t = t0 + sample * stride * dt
+        if not np.all(np.isfinite(states[sample])):
+            raise NumericalGuardError(f"non-finite state at t={t}")
+        drift = abs(abs(np.trace(states[sample])) - trace0)
+        if drift > TRACE_TOL:
+            raise NumericalGuardError(
+                f"trace drift {drift:.2e} exceeds {TRACE_TOL} at t={t}"
+            )
+        times[sample] = t
+    meta = {
+        "dt": dt,
+        "stride": stride,
+        "steps": steps,
+        "rhs": rhs.branch,
+        "jump_records": rhs.jump_records,
+        "kind": "tcg" if isinstance(generator, EffectiveModel) else "exact",
+    }
+    if psi is not None:
+        meta["rank"] = psi.shape[1]
+    return Trajectory(times, states, meta=meta)
+
+
+def _rk4(rhs, y: np.ndarray):
+    """``advance(t0, dt, first, count)``: RK4 steps ``first`` to ``first +
+    count - 1`` of ``y' = rhs(t, y)``, in place on y, step n running from
+    ``t0 + n*dt`` to ``t0 + (n+1)*dt``."""
     # preallocated stages: at d ~ 200 fresh d x d temporaries per step cost
     # more than the arithmetic, as the allocator hands their pages back
-    k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
-    t = t0
-    for step in range(n_steps):
-        t_next = t0 + (step + 1) * dt
-        rhs(t, rho, k1)
-        rhs(t + dt / 2, _axpy(dt / 2, k1, rho, stage), k2)
-        rhs(t + dt / 2, _axpy(dt / 2, k2, rho, stage), k3)
-        rhs(t_next, _axpy(dt, k3, rho, stage), k4)
-        # rho += dt/6 * (((k1 + 2 k2) + 2 k3) + k4)
-        k2 *= 2
-        k2 += k1
-        k3 *= 2
-        k2 += k3
-        k2 += k4
-        k2 *= dt / 6
-        rho += k2
-        t = t_next
-        if (step + 1) % stride == 0:
-            if not np.all(np.isfinite(rho)):
-                raise NumericalGuardError(f"non-finite state at t={t}")
-            drift = abs(abs(np.trace(rho)) - trace0)
-            if drift > TRACE_TOL:
-                raise NumericalGuardError(
-                    f"trace drift {drift:.2e} exceeds {TRACE_TOL} at t={t}"
-                )
-            sample = (step + 1) // stride
-            times[sample] = t
-            states[sample] = rho
-    return Trajectory(
-        times,
-        states,
-        meta={
-            "dt": dt,
-            "stride": stride,
-            "rhs": rhs.branch,
-            "jump_records": rhs.jump_records,
-            "kind": "tcg" if isinstance(generator, EffectiveModel) else "exact",
-        },
-    )
+    arrays = [y] + [np.empty_like(y) for _ in range(5)]
+
+    def advance(t0, dt, first, count):
+        y, k1, k2, k3, k4, stage = arrays
+        for step in range(first, first + count):
+            t = t0 + step * dt
+            t_next = t0 + (step + 1) * dt
+            rhs(t, y, k1)
+            rhs(t + dt / 2, _axpy(dt / 2, k1, y, stage), k2)
+            rhs(t + dt / 2, _axpy(dt / 2, k2, y, stage), k3)
+            rhs(t_next, _axpy(dt, k3, y, stage), k4)
+            # y += dt/6 * (((k1 + 2 k2) + 2 k3) + k4)
+            k2 *= 2
+            k2 += k1
+            k3 *= 2
+            k2 += k3
+            k2 += k4
+            k2 *= dt / 6
+            y += k2
+
+    return advance
+
+
+def _norm_refined(advance, psi, t0, sample_dt, sample, stride, budget):
+    """Advance the state vectors ``psi`` over sample interval ``sample``
+    at ``stride`` steps, doubling the steps until ``sum |psi|^2`` falls by
+    at most ``budget``; returns the final stride and the steps taken.
+
+    A norm that rose or is not finite is returned as it is, for the
+    caller's guard; a loss that does not shrink as the step halves raises
+    :class:`NumericalGuardError`.
+    """
+    start = psi.copy()
+    norm = np.vdot(start, start).real
+    taken = 0
+    last_loss = math.inf
+    while True:
+        advance(t0, sample_dt / stride, (sample - 1) * stride, stride)
+        taken += stride
+        loss = norm - np.vdot(psi, psi).real
+        if not loss > budget:
+            return stride, taken
+        if not loss < last_loss:
+            raise NumericalGuardError(
+                f"norm loss {loss:.2e} over the sample interval ending at "
+                f"t={t0 + sample * sample_dt} does not shrink as the step "
+                "halves"
+            )
+        last_loss = loss
+        psi[...] = start
+        stride *= 2
+
+
+def _split(rho: np.ndarray) -> np.ndarray | None:
+    """A d x r block ``Psi`` with ``rho = Psi Psi^dagger``, or None unless
+    the Hermitian ``rho`` is positive semidefinite.
+
+    Pivoted Cholesky: each column takes the largest diagonal entry of the
+    remainder as pivot, until a pivot is at most ``d * eps * tr rho``;
+    rho is then positive semidefinite only if no entry of the remainder
+    is larger.  One rank-1 update per column, and no LAPACK workspace.
+    """
+    dim = len(rho)
+    rest = np.array(rho, dtype=complex)
+    tol = dim * np.finfo(float).eps * np.trace(rest).real
+    if not tol > 0:
+        return None
+    columns = []
+    while len(columns) < dim:
+        diag = rest.diagonal().real
+        pivot = int(np.argmax(diag))
+        if not diag[pivot] > tol:
+            break
+        column = rest[:, pivot] / math.sqrt(diag[pivot])
+        rest -= np.outer(column, column.conj())
+        columns.append(column)
+    if np.max(np.abs(rest)) > tol:
+        return None
+    return np.ascontiguousarray(np.transpose(columns))
+
+
+def _hermitian_outer(psi: np.ndarray, out: np.ndarray):
+    """``out = (X + X^dagger) / 2`` for ``X = psi psi^dagger``: exactly
+    Hermitian."""
+    np.matmul(psi, psi.conj().T, out=out)
+    out += out.conj().T
+    out *= 0.5
 
 
 def _axpy(a: float, x: np.ndarray, y: np.ndarray, out: np.ndarray):

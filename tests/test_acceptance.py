@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stcg import operators
 from stcg.contraction import (
     FrequencyTuple,
     bubble_factor_oracle,
@@ -603,12 +602,10 @@ def test_07_kerr_third_order_exact():
 
 
 @pytest.mark.stretch
-def test_07b_kerr_fourth_order_exact(monkeypatch):
+def test_07b_kerr_fourth_order_exact():
     start = time.perf_counter()
     model = load_model(get_preset("duffing"))
     model.filter_spec = GaussianFilter()
-    # fourth-order Kerr products reach ladder degree 16
-    monkeypatch.setattr(operators, "DEGREE_CAP", 20)
     ham = effective_hamiltonian(model, 4)
     w = freq_symbol("w")
     g4 = sp.Symbol("g4", real=True)

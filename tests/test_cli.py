@@ -230,6 +230,35 @@ class TestExitCodes:
         assert main([*common, "--params", "gg=2GHz"]) == 3
         assert "declares no symbol(s) ['gg']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,path,value",
+        [
+            ("rabi_order1.json", ("hamiltonian", 0, "coeff"), 5),
+            ("rabi_order1.json", ("order",), "1"),
+            ("rabi_order1.json", ("order",), True),
+            ("rabi_order1.json", ("order",), 0),
+            ("rabi_order3.json", ("dissipators", 0, "rate"), 0.5),
+            ("rabi_order3.json", ("dissipators", 0, "L"), None),
+            ("rabi_order3.json", ("dissipators", 0, "J"), 3),
+        ],
+    )
+    def test_validation_error_on_wrong_typed_effective_field(
+        self, name, path, value, tmp_path, capsys
+    ):
+        doc = json.loads((BENCH_DATA / name).read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        eff = tmp_path / name
+        eff.write_text(json.dumps(doc))
+        code = main(
+            ["simulate", "--effective", str(eff), "--initial",
+             "coherent(1)*e", "--t1", "0.1ns", "--samples", "3"]
+        )
+        assert code == 3
+        assert f'"{path[-1]}" must be' in capsys.readouterr().err
+
     def test_validation_error_on_non_finite_time(self, capsys):
         code = main(
             ["simulate", "--preset", "rabi", "--initial", "coherent(1)*g",

@@ -6,7 +6,6 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from stcg.operators import (
-    DegreeCapError,
     ModeSpec,
     OperatorSum,
     monomial_label,
@@ -65,9 +64,12 @@ class TestAlgebra:
         assert np.allclose(sz.matrix(), np.diag([-1.0, 1.0]))
 
     def test_degree_cap(self):
+        # no ladder-degree cap: a'^7 a'^7 is kept symbolically as a'^14,
+        # truncation applies only when a matrix is built
         big = OperatorSum.monomial(BOSON, ((7, 0),))
-        with pytest.raises(DegreeCapError):
-            big.matmul(big)
+        product = big.matmul(big)
+        assert product == OperatorSum.monomial(BOSON, ((14, 0),))
+        assert not product.matrix().any()
 
     def test_mode_mismatch(self):
         with pytest.raises(ValueError):

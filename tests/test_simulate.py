@@ -637,6 +637,147 @@ class TestHermitianHalf:
         assert np.max(np.abs(half.states - general.states)) <= 1e-12 * scale
 
 
+def rabi_exact(truncation):
+    """The exact ``rabi`` preset at ``truncation`` and its assignment."""
+    doc = get_preset("rabi")
+    doc["modes"][0]["truncation"] = truncation
+    model = load_model(doc)
+    return model, model.numeric_assignment()
+
+
+def mixed_state(modes, weights, specs):
+    """``sum_k w_k |psi_k><psi_k|``, made exactly Hermitian."""
+    rho = sum(w * build_initial(modes, s) for w, s in zip(weights, specs))
+    return (rho + rho.conj().T) / 2
+
+
+class TestVectorPath:
+    """Unitary runs integrate ``Psi' = -i H(t) Psi`` for ``rho0 = Psi
+    Psi^dagger``."""
+
+    def test_agrees_with_density_path_and_is_closer_to_fine_step(
+        self, monkeypatch
+    ):
+        # a few photons: at |alpha| <~ 2 the two paths' errors are alike
+        model, assignment = rabi_exact(30)
+        rho0 = build_initial(model.modes, "coherent(3.0)*e")
+        span = (0.0, 0.5e-9)
+        vector = integrate(model, rho0, span, assignment, n_samples=11)
+        monkeypatch.setattr(simulate, "_conjugate_closed", lambda *_: False)
+        rho = integrate(model, rho0, span, assignment, n_samples=11)
+        fine = integrate(model, rho0, span, assignment,
+                         dt=rho.meta["dt"] / 16, n_samples=11)
+        assert (vector.meta["rhs"], rho.meta["rhs"]) == ("vector", "general")
+        assert vector.meta["rank"] == 1
+        assert vector.meta["stride"] == rho.meta["stride"]
+        err_rho = np.max(np.abs(rho.states - fine.states))
+        err_vector = np.max(np.abs(vector.states - fine.states))
+        assert 0 < err_vector < err_rho
+        assert np.max(np.abs(vector.states - rho.states)) <= 2 * err_rho
+
+    def test_mixed_state_has_rank_two(self):
+        model = jc_model()
+        specs = ("fock(0)*e", "coherent(0.8)*g")
+        rho0 = mixed_state(model.modes, (0.7, 0.3), specs)
+        traj = integrate(model, rho0, (0.0, 2.0), {"g": 1.3}, dt=0.01,
+                         n_samples=5)
+        assert (traj.meta["rhs"], traj.meta["rank"]) == ("vector", 2)
+        parts = [
+            integrate(model, build_initial(model.modes, s), (0.0, 2.0),
+                      {"g": 1.3}, dt=0.01, n_samples=5).states
+            for s in specs
+        ]
+        assert np.max(np.abs(traj.states - 0.7 * parts[0] - 0.3 * parts[1])
+                      ) < 1e-12
+
+    def test_other_inputs_keep_density_paths(self):
+        model = jc_model()
+        indefinite = mixed_state(model.modes, (1.2, -0.2),
+                                 ("fock(0)*e", "fock(1)*g"))
+        traj = integrate(model, indefinite, (0.0, 0.2), {"g": 1.3},
+                         dt=0.01, n_samples=3)
+        assert traj.meta["rhs"] == "hermitian" and "rank" not in traj.meta
+        rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
+        eff, assignment = closed_model()
+        traj = integrate(eff, rho0, (0.0, 0.2), assignment, dt=0.01,
+                         n_samples=3)
+        assert traj.meta["rhs"] == "hermitian" and "rank" not in traj.meta
+        timed = lindblad_model(
+            JC_MODES,
+            [(0.1 * TIME, "0", parse_operator("sz", JC_MODES)),
+             (1.1, "0", parse_operator("a'*a", JC_MODES))],
+            [],
+        )
+        traj = integrate(timed, rho0, (0.0, 0.2), {}, dt=0.01, n_samples=3)
+        assert traj.meta["rhs"] == "general" and "rank" not in traj.meta
+
+    def test_coarse_step_is_refined_within_trace_tolerance(self):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "coherent(1)*e")
+        n_samples, dt = 11, 0.2
+        traj = integrate(model, rho0, (0.0, 200.0), {"g": 1.7}, dt=dt,
+                         n_samples=n_samples)
+        stride0 = math.ceil(20.0 / dt)
+        assert traj.meta["rhs"] == "vector"
+        assert traj.meta["stride"] > stride0
+        assert traj.meta["steps"] > stride0 * (n_samples - 1)
+        assert traj.meta["dt"] == 20.0 / traj.meta["stride"]
+        traces = np.einsum("tii->t", traj.states).real
+        assert np.max(np.abs(traces - 1.0)) <= simulate.TRACE_TOL
+
+    def test_refinement_doubles_until_loss_fits_budget(self):
+        psi = np.full((4, 1), 0.5, dtype=complex)
+        start = psi.copy()
+
+        def advance(t0, dt, first, count):
+            # a norm loss of 0.1 / count^2 over the interval
+            np.multiply(start, math.sqrt(1 - 0.1 / count**2), out=psi)
+
+        stride, taken = simulate._norm_refined(
+            advance, psi, 0.0, 1.0, 1, 1, 1e-3
+        )
+        assert (stride, taken) == (16, 1 + 2 + 4 + 8 + 16)
+        assert 1 - np.vdot(psi, psi).real <= 1e-3
+
+    def test_loss_that_does_not_shrink_raises(self):
+        psi = np.full((4, 1), 0.5, dtype=complex)
+
+        def advance(t0, dt, first, count):
+            np.multiply(psi, 0.9, out=psi)
+
+        with pytest.raises(NumericalGuardError, match="does not shrink"):
+            simulate._norm_refined(advance, psi, 0.0, 1.0, 1, 1, 1e-3)
+
+    def test_states_exactly_hermitian(self):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "coherent(1)*e")
+        traj = integrate(model, rho0, (0.0, 1.0), {"g": 1.3}, dt=0.01,
+                         n_samples=6)
+        assert traj.meta["rhs"] == "vector"
+        for state in traj.states:
+            assert np.array_equal(state, state.conj().T)
+
+    def test_meta_counts_steps_on_every_path(self):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "coherent(1)*e")
+        vector = integrate(model, rho0, (0.0, 1.0), {"g": 1.3}, dt=0.01,
+                           n_samples=6)
+        eff, assignment = closed_model()
+        half = integrate(eff, rho0, (0.0, 1.0), assignment, dt=0.01,
+                         n_samples=6)
+        bad = rho0.copy()
+        bad[0, 1] += 1e-9j
+        general = integrate(eff, bad, (0.0, 1.0), assignment, dt=0.01,
+                            n_samples=6)
+        for traj in (vector, half, general):
+            assert traj.meta["stride"] == 20
+            assert traj.meta["steps"] == 20 * 5
+        assert [t.meta["rhs"] for t in (vector, half, general)] == [
+            "vector", "hermitian", "general"
+        ]
+        assert vector.meta["rank"] == 1
+
+
 class TestOperatorProducts:
     """One jump term ``L x 1`` or ``1 x J`` through the jump table."""
 
