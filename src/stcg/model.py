@@ -299,18 +299,16 @@ def load_model(document) -> ModelSpec:
         ModeSpec(m["name"], m["kind"], m.get("truncation"))
         for m in document.get("modes", [])
     )
-    symbols = document.get("symbols", [])
-    if isinstance(symbols, Mapping):
-        symbols = [{"name": k, "value": v} for k, v in symbols.items()]
-    params: dict[str, float | None] = {}
-    for entry in symbols:
-        if not isinstance(entry, Mapping):
-            raise ValueError(
-                f'a "symbols" entry must be an object {{"name": ..., '
-                f'"value": ...}}, got {entry!r}'
-            )
-        value = entry.get("value")
-        params[entry["name"]] = None if value is None else parse_quantity(value)
+    symbols = document.get("symbols", {})
+    if not isinstance(symbols, Mapping):
+        raise ValueError(
+            f'"symbols" must be an object such as {{"w": "2pi*1GHz"}}, got '
+            f"{symbols!r}"
+        )
+    params: dict[str, float | None] = {
+        name: None if value is None else parse_quantity(value)
+        for name, value in symbols.items()
+    }
 
     filt = document.get("filter", {"kind": "gaussian"})
     if not isinstance(filt, Mapping):

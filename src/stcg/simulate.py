@@ -98,10 +98,6 @@ GAP_TOL = 1e-9
 #: about a tenth of a d=200 matmul but about half of a d=60 one.
 GATHER_RATIO = 20
 
-#: Output frames that :func:`coarse_grain_trajectory` accumulates at a time
-#: fill at most this many bytes (at least one frame).
-_AVERAGE_BLOCK_BYTES = 1 << 22
-
 
 class NumericalGuardError(RuntimeError):
     """Integration tripped a sanity guard (trace drift, overflow, ...)."""
@@ -109,7 +105,8 @@ class NumericalGuardError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Density-matrix snapshots on a uniform time grid."""
+    """Density-matrix snapshots on a time grid; ``states`` is stored
+    C-contiguous, so its (N, d^2) reshape is a view."""
 
     times: np.ndarray
     states: np.ndarray  # shape (N, d, d)
@@ -117,7 +114,7 @@ class Trajectory:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=complex)
+        self.states = np.ascontiguousarray(self.states, dtype=complex)
         if len(self.times) != len(self.states):
             raise ValueError("snapshot count does not match grid")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
@@ -125,11 +122,18 @@ class Trajectory:
 
     @property
     def dt(self) -> float:
+        """Step of the grid; all steps must agree to 1e-9 relative."""
         if len(self.times) < 2:
             raise ValueError(
                 f"need at least 2 samples for a step, got {len(self.times)}"
             )
-        return float(self.times[1] - self.times[0])
+        steps = np.diff(self.times)
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+            raise ValueError(
+                f"time grid is not uniform: steps {steps.min():.6g} to "
+                f"{steps.max():.6g}"
+            )
+        return float(steps[0])
 
 
 @dataclass(frozen=True)
@@ -874,6 +878,8 @@ def coarse_grain_trajectory(traj: Trajectory, tau: float) -> Trajectory:
     The kernel is truncated at +/-{KERNEL_SUPPORT} tau and renormalized;
     output keeps only interior points with full kernel support, so the
     input must extend at least that margin beyond the window of interest.
+    The grid must be uniform.  Output frame i is one product of the K
+    kernel taps with input frames i to i + K - 1 as rows of d^2 entries.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"averaging width must be finite and > 0, got {tau}")
@@ -884,19 +890,11 @@ def coarse_grain_trajectory(traj: Trajectory, tau: float) -> Trajectory:
         raise ValueError(
             f"trajectory too short for averaging width: pad by >= {need:.3g}"
         )
-    # accumulate per kernel offset, a block of output frames at a time
-    # through one small buffer: no n_out x d x d temporary
     n_out = len(traj.times) - len(kernel) + 1
-    averaged = np.zeros((n_out,) + traj.states.shape[1:], dtype=complex)
-    block = max(1, _AVERAGE_BLOCK_BYTES // averaged[0].nbytes)
-    buf = np.empty_like(averaged[:block])
-    for start in range(0, n_out, block):
-        acc = averaged[start : start + block]
-        part = buf[: len(acc)]
-        for offset, weight in enumerate(kernel):
-            lo = start + offset
-            np.multiply(weight, traj.states[lo : lo + len(acc)], out=part)
-            acc += part
+    frames = traj.states.reshape(len(traj.times), -1)
+    averaged = np.empty((n_out,) + traj.states.shape[1:], dtype=complex)
+    for i, out in enumerate(averaged.reshape(n_out, -1)):
+        np.matmul(kernel, frames[i : i + len(kernel)], out=out)
     meta = dict(traj.meta)
     meta["coarse_grained_tau"] = tau
     return Trajectory(traj.times[half:-half], averaged, meta)
@@ -909,13 +907,15 @@ coarse_grain_trajectory.__doc__ = coarse_grain_trajectory.__doc__.format(
 
 def expectation_series(
     traj: Trajectory,
-    obs: ObservableSpec | np.ndarray,
+    obs: ObservableSpec,
     assignment: Mapping[str, float] | None = None,
 ) -> np.ndarray:
-    matrix = obs if isinstance(obs, np.ndarray) else obs.op.matrix(assignment)
+    """``tr(O rho_t)`` per sample, O the matrix of ``obs`` at ``assignment``:
+    one product of the (N, d^2) frames with the flattened transpose of O."""
+    matrix = obs.op.matrix(assignment)
     if matrix.shape != traj.states.shape[1:]:
         raise ValueError("observable dimension does not match trajectory")
-    return np.einsum("ij,tji->t", matrix, traj.states)
+    return traj.states.reshape(len(traj.times), matrix.size) @ matrix.T.ravel()
 
 
 def compare_series(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
@@ -973,14 +973,11 @@ def rate_decomposition(
             _hamiltonian_at(ham, dim, t + dt / 2)
             - _hamiltonian_at(ham, dim, t - dt / 2)
         ) / dt
-        total = 0.0
-        for level in range(1, len(vals)):
-            vn = vecs[:, level]
-            num = vn.conj() @ hdot @ ground
-            total += (
-                num / (vals[0] - vals[level]) * (ground.conj() @ rho @ vn)
-            ).real * 2
-        inert[i] = total
+        # sum over n >= 1 of 2 Re <n|Hdot|0> <0|rho|n> / (E_0 - E_n)
+        excited = vecs[:, 1:]
+        num = excited.conj().T @ (hdot @ ground)
+        overlap = (ground.conj() @ rho) @ excited
+        inert[i] = 2 * np.sum((num / (vals[0] - vals[1:]) * overlap).real)
         drho = dissipate(t, rho, np.empty_like(rho))
         dynam[i] = (ground.conj() @ drho @ ground).real
     return inert, dynam, ok

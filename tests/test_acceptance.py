@@ -527,10 +527,12 @@ def _rabi_error_comparison(truncation, alpha, window_ns, sample_ns, dt_tcg=None)
     )
     ref = expectation_series(smoothed, obs).real
     errors = []
+    # like with like: the effective runs start from the coarse-grained
+    # exact state at t = 0, the state their dynamics describes
     for eff in (eff1, eff3):
         traj = integrate(
             eff,
-            rho0,
+            smoothed.states[0],
             (0.0, window_ns * NS),
             assignment,
             dt=dt_tcg,

@@ -191,7 +191,7 @@ class TestExitCodes:
             (("filter",), "gaussian", '"filter" must be an object'),
             (("terms", 0, "operator"), 5, "operator must be a string"),
             (("terms", 0, "coupling"), None, "coupling must be a string"),
-            (("symbols",), ["w", "g"], '"symbols" entry must be an object'),
+            (("symbols",), ["w", "g"], '"symbols" must be an object'),
         ],
     )
     def test_validation_error_on_wrong_typed_field(

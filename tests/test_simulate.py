@@ -837,25 +837,36 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="finite and > 0"):
             coarse_grain_trajectory(Trajectory(times, states, {}), tau)
 
-    def test_blocks_match_plain_sum(self, monkeypatch):
-        # three frames per block, and n_out = 40 is not a multiple of 3
+    @pytest.mark.parametrize("case", ["matrix", "series", "view"])
+    def test_matches_plain_weighted_sum(self, case):
         rng = np.random.default_rng(6)
-        dim, n = 3, 70
-        states = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(
-            size=(n, dim, dim)
+        dim = {"matrix": 3, "series": 1, "view": 6}[case]
+        states = rng.normal(size=(70, dim, dim)) + 1j * rng.normal(
+            size=(70, dim, dim)
         )
-        traj = Trajectory(np.arange(n) * 0.1, states, {})
+        if case == "view":
+            states = states[:, ::2, 1::2].transpose(0, 2, 1)
+            assert not states.flags.c_contiguous
+        traj = Trajectory(np.arange(70) * 0.1, states, {})
         tau = 0.6
         kernel = simulate._gaussian_kernel(traj.dt, tau)
-        n_out = n - len(kernel) + 1
-        frame = states[0].nbytes
-        monkeypatch.setattr(simulate, "_AVERAGE_BLOCK_BYTES", 3 * frame + 1)
-        assert n_out % 3 != 0
-        plain = np.zeros((n_out, dim, dim), dtype=complex)
+        n_out = len(states) - len(kernel) + 1
+        plain = np.zeros((n_out,) + states.shape[1:], dtype=complex)
         for offset, weight in enumerate(kernel):
             plain += weight * states[offset : offset + n_out]
         out = coarse_grain_trajectory(traj, tau)
-        assert np.array_equal(out.states, plain)
+        assert out.states.shape == plain.shape
+        assert np.max(np.abs(out.states - plain)) <= 1e-14 * np.max(
+            np.abs(plain)
+        )
+
+    def test_rejects_non_uniform_grid(self):
+        times = np.concatenate(
+            (np.arange(50) * 0.02, 0.98 + np.arange(1, 51) * 0.18)
+        )
+        states = np.ones((100, 1, 1), dtype=complex)
+        with pytest.raises(ValueError, match="not uniform"):
+            coarse_grain_trajectory(Trajectory(times, states, {}), 0.05)
 
     def test_rejects_single_sample(self):
         traj = Trajectory([0.0], np.ones((1, 2, 2), dtype=complex), {})
@@ -894,6 +905,16 @@ class TestSeriesTools:
         traj = integrate(model, rho0, (0.0, 1.0), {"g": 1.0}, dt=0.01)
         ones = expectation_series(traj, ObservableSpec.parse("1", model.modes))
         assert np.allclose(ones.real, 1.0, atol=1e-9)
+
+    def test_expectation_matches_trace_per_sample(self):
+        obs = ObservableSpec(operator_sum(JC_MODES, "a'*a", "a*sp", "sz"), "o")
+        matrix = obs.op.matrix()
+        states = np.array([random_matrix(12, seed) for seed in range(7)])
+        traj = Trajectory(np.arange(7) * 0.1, states, {})
+        series = expectation_series(traj, obs)
+        for value, rho in zip(series, states):
+            ref = np.trace(matrix @ rho)
+            assert abs(value - ref) <= 1e-14 * np.max(np.abs(matrix @ rho))
 
     def test_compare_identical(self):
         a = np.sin(np.linspace(0, 5, 100))
@@ -939,6 +960,43 @@ class TestRateDecomposition:
         inert, dynam, ok = rate_decomposition(eff, traj, assignment)
         assert np.max(np.abs(inert[ok])) < 1e-9
         assert np.max(np.abs(dynam[ok])) < 1e-12
+
+    def test_inertial_rate_matches_level_loop(self):
+        # a drive at +/-w on both modes: dH/dt does not commute with H
+        eff = lindblad_model(
+            JC_MODES,
+            [
+                (0.6 + 0.2j, "w", operator_sum(JC_MODES, "a'", "sp")),
+                (0.6 - 0.2j, "-w", operator_sum(JC_MODES, "a", "sm")),
+                (1.1, "0", parse_operator("sz", JC_MODES)),
+                (0.9, "0", parse_operator("a'*a", JC_MODES)),
+            ],
+            [],
+        )
+        assignment = {"w": 2.9}
+        ham, _, _, dim = _realize(eff, assignment)
+        times = np.linspace(0.5, 0.9, 5)
+        states = np.array([random_density(dim, i) for i in range(5)])
+        traj = Trajectory(times, states, {})
+        inert, _, ok = rate_decomposition(eff, traj, assignment)
+        assert ok.all()
+        dt = traj.dt
+        ref = np.zeros(len(times))
+        for i, (t, rho) in enumerate(zip(times, states)):
+            vals, vecs = np.linalg.eigh(simulate._hamiltonian_at(ham, dim, t))
+            ground = vecs[:, 0]
+            hdot = (
+                simulate._hamiltonian_at(ham, dim, t + dt / 2)
+                - simulate._hamiltonian_at(ham, dim, t - dt / 2)
+            ) / dt
+            for level in range(1, len(vals)):
+                vn = vecs[:, level]
+                num = vn.conj() @ hdot @ ground
+                ref[i] += (
+                    num / (vals[0] - vals[level]) * (ground.conj() @ rho @ vn)
+                ).real * 2
+        assert np.min(np.abs(ref)) > 1e-3
+        assert np.max(np.abs(inert - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", ["narrow", "wide"])
     def test_dynamical_rate_matches_dense_formula(self, case):
