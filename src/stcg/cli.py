@@ -100,13 +100,13 @@ def _with_tau(model: ModelSpec, tau_text: str | None) -> ModelSpec:
     return replace(model, filter_spec=GaussianFilter(tau), params=params)
 
 
-def _check_overrides(overrides, document, eff):
-    """Reject a ``--params`` name other than ``tau`` that an exported model
+def _check_overrides(overrides, eff):
+    """Reject a ``--params`` name other than ``tau`` that an effective model
     neither lists in its ``params`` nor uses in a coefficient or frequency."""
     terms = eff.hamiltonian + eff.dissipators
     values = [t.coeff for t in eff.hamiltonian]
     values += [t.rate for t in eff.dissipators]
-    known = set(document.get("params", {})) | {"tau"}
+    known = set(eff.params) | {"tau"}
     known |= {s.name for v in values for s in v.free_symbols} - {"t"}
     known |= {name for t in terms for name in t.freq.symbols}
     unknown = set(overrides) - known
@@ -122,6 +122,10 @@ def _check_overrides(overrides, document, eff):
 
 
 def _cmd_derive(args) -> int:
+    if args.threshold is None:
+        for flag in ("params", "window"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies only with --threshold")
     model = _with_tau(_load_model_arg(args), args.tau)
     eff = assemble(model, args.order)
     if args.threshold is not None:
@@ -132,13 +136,7 @@ def _cmd_derive(args) -> int:
             window = (0.0, parse_quantity(args.window))
         eff = prune_terms(eff, args.threshold, assignment, window)
     if args.format == "json":
-        payload = export_model(eff, "json")
-        known = {
-            k: v for k, v in model.params.items() if v is not None
-        }
-        if known:
-            payload["params"] = known
-        _emit(args.output, _json_text(payload))
+        _emit(args.output, _json_text(export_model(eff, "json")))
     else:
         _emit(args.output, export_model(eff, "text"))
     return 0
@@ -158,21 +156,30 @@ def _cmd_simulate(args) -> int:
     overrides = _parse_params(args.params)
     if args.effective:
         with open(args.effective) as fh:
-            document = json.load(fh)
-        assignment = dict(document.get("params", {}))
+            generator = load_effective(fh.read())
+        _check_overrides(overrides, generator)
+        assignment = dict(generator.params)
         if args.tau is not None:
             assignment["tau"] = parse_quantity(args.tau)
         assignment.update(overrides)
-        tau = assignment.get("tau")
-        filter_spec = GaussianFilter(tau) if tau is not None else None
-        generator = load_effective(document, filter_spec)
-        _check_overrides(overrides, document, generator)
         modes = generator.modes
     else:
         model = _with_tau(_load_model_arg(args), args.tau)
         assignment = model.numeric_assignment(overrides)
         generator = model
         modes = model.modes
+
+    observe = [
+        entry.split("=", 1) if "=" in entry else (entry, entry)
+        for entry in (args.observe or [])
+    ] or _default_observables(modes)
+    labels = [label for label, _ in observe]
+    if "t" in labels or len(set(labels)) != len(labels):
+        raise ValueError(f"--observe labels {labels} repeat a column name")
+    observables = {
+        label: ObservableSpec.parse(text, modes, label=label)
+        for label, text in observe
+    }
 
     rho0 = build_initial(modes, args.initial)
     t0 = parse_quantity(args.t0)
@@ -186,16 +193,10 @@ def _cmd_simulate(args) -> int:
         dt=dt,
         n_samples=args.samples,
     )
-
-    observe = [
-        entry.split("=", 1) if "=" in entry else (entry, entry)
-        for entry in (args.observe or [])
-    ] or _default_observables(modes)
-    columns: dict[str, np.ndarray] = {}
-    for label, text in observe:
-        obs = ObservableSpec.parse(text, modes, label=label)
-        columns[label] = expectation_series(traj, obs, assignment)
-
+    columns = {
+        label: expectation_series(traj, obs, assignment)
+        for label, obs in observables.items()
+    }
     lines = _render_csv(traj.times, columns)
     _emit(args.output, lines)
     return 0
@@ -236,6 +237,8 @@ def _cmd_compare(args) -> int:
         ref[:, 0], test[:, 0], atol=1e-12
     ):
         raise ValueError("time grids differ between the two files")
+    if len(set(ref_names)) != len(ref_names):
+        raise ValueError(f"repeated column name in {ref_names}")
     metrics = {}
     for idx, name in enumerate(ref_names):
         if name == "t":

@@ -18,7 +18,7 @@ import math
 import numbers
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -182,45 +182,15 @@ def _is_self_conjugate(term: HamiltonianTermSpec) -> bool:
 
 @dataclass
 class EffectiveModel:
-    """Assembled coarse-grained generator through a given order."""
+    """Coarse-grained generator through ``order`` and the numeric symbol
+    values ``params`` it was derived at: exactly the json document of
+    :func:`export_model` and :func:`load_effective`."""
 
     order: int
     modes: tuple[ModeSpec, ...]
     hamiltonian: tuple[HamiltonianTermSpec, ...]
     dissipators: tuple[DissipatorTermSpec, ...]
-    filter_spec: GaussianFilter
-    provenance: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, EffectiveModel):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.modes == other.modes
-            and _term_map(self.hamiltonian) == _term_map(other.hamiltonian)
-            and _diss_map(self.dissipators) == _diss_map(other.dissipators)
-        )
-
-
-def _term_map(terms):
-    out = {}
-    for term in terms:
-        for key, coeff in term.op.terms.items():
-            k = (key, term.freq)
-            out[k] = sp.expand(out.get(k, sp.Integer(0)) + coeff * term.coeff)
-    return {k: sp.nsimplify(v) for k, v in out.items() if v != 0}
-
-
-def _diss_map(terms):
-    out = {}
-    for term in terms:
-        for lk, lc in term.left.terms.items():
-            for jk, jc in term.right.terms.items():
-                k = (lk, jk, term.freq)
-                out[k] = sp.expand(
-                    out.get(k, sp.Integer(0)) + lc * jc * term.rate
-                )
-    return {k: sp.nsimplify(v) for k, v in out.items() if v != 0}
+    params: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +252,48 @@ def _coupling_locals(names: Iterable[str]) -> dict:
     return out
 
 
+def _json_object(document) -> Mapping:
+    """``document``, parsed if it is json text; it must be an object."""
+    if isinstance(document, str):
+        document = json.loads(document)
+    if not isinstance(document, Mapping):
+        raise ValueError(
+            f"a model document must be a json object, got {document!r:.60}"
+        )
+    return document
+
+
+def _object_list(key: str, value) -> list:
+    """``value``, the ``key`` field of a document: a list of objects."""
+    if not isinstance(value, list) or not all(
+        isinstance(entry, Mapping) for entry in value
+    ):
+        raise ValueError(
+            f'"{key}" must be a list of objects, got {value!r:.60}'
+        )
+    return value
+
+
+def _modes(entries: list) -> tuple[ModeSpec, ...]:
+    return tuple(
+        ModeSpec(m["name"], m["kind"], m.get("truncation")) for m in entries
+    )
+
+
 def load_model(document) -> ModelSpec:
     """Build a :class:`ModelSpec` from a model document (dict, json text,
     or path to a json file).
 
     The term list must be Hermitian as written: a term without its
-    conjugate partner is rejected, as is a field of the wrong type.
+    conjugate partner is rejected, as is a document that is not an object,
+    ``modes``, ``terms`` or ``ramps`` that is not a list of objects, and a
+    field of the wrong type.
     """
-    if isinstance(document, str):
-        if document.lstrip().startswith("{"):
-            document = json.loads(document)
-        else:
-            with open(document) as fh:
-                document = json.load(fh)
-    modes = tuple(
-        ModeSpec(m["name"], m["kind"], m.get("truncation"))
-        for m in document.get("modes", [])
-    )
+    if isinstance(document, str) and not document.lstrip().startswith("{"):
+        with open(document) as fh:
+            document = fh.read()
+    document = _json_object(document)
+    modes = _modes(_object_list("modes", document.get("modes", [])))
     symbols = document.get("symbols", {})
     if not isinstance(symbols, Mapping):
         raise ValueError(
@@ -324,7 +319,7 @@ def load_model(document) -> ModelSpec:
         params.setdefault(TAU.name, parse_quantity(tau))
 
     locs = _coupling_locals(params)
-    ramps = document.get("ramps", [])
+    ramps = _object_list("ramps", document.get("ramps", []))
     regulator = document.get("regulator", RAMP_REGULATOR) if ramps else None
     durations = {ramp["duration"] for ramp in ramps}
     if regulator in set(params) | durations | {TIME.name, TAU.name}:
@@ -333,7 +328,7 @@ def load_model(document) -> ModelSpec:
             "another name"
         )
     terms = []
-    for entry in document.get("terms", []):
+    for entry in _object_list("terms", document.get("terms", [])):
         coupling = entry["coupling"]
         if isinstance(coupling, bool) or not isinstance(
             coupling, (str, int, float)
@@ -625,14 +620,14 @@ def effective_dissipators(
 
 
 def assemble(model: ModelSpec, order: int) -> EffectiveModel:
-    """Full effective model: Hamiltonian and dissipators through ``order``."""
+    """Full effective model: Hamiltonian and dissipators through ``order``,
+    with the model's numeric symbol values as ``params``."""
     return EffectiveModel(
         order=order,
         modes=model.modes,
         hamiltonian=effective_hamiltonian(model, order),
         dissipators=effective_dissipators(model, order),
-        filter_spec=model.filter_spec,
-        provenance={"model": model.name},
+        params={k: v for k, v in model.params.items() if v is not None},
     )
 
 
@@ -675,8 +670,8 @@ def prune_terms(
 
     Coefficients are evaluated at t = 0, or, with a ``time_window``, at
     :data:`PRUNE_SAMPLES` evenly spaced times spanning it, ends included,
-    and the largest magnitude is kept.  The dropped-term census lands in
-    provenance.
+    and the largest magnitude is kept.  Order, modes and ``params`` are
+    kept as they are.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
@@ -698,20 +693,7 @@ def prune_terms(
         for term in eff.dissipators
         if _peak_magnitude(term.rate, assignment, times) >= threshold
     ]
-    provenance = dict(eff.provenance)
-    provenance["pruned"] = {
-        "threshold": threshold,
-        "hamiltonian_dropped": len(eff.hamiltonian) - len(ham),
-        "dissipators_dropped": len(eff.dissipators) - len(dis),
-    }
-    return EffectiveModel(
-        order=eff.order,
-        modes=eff.modes,
-        hamiltonian=tuple(ham),
-        dissipators=tuple(dis),
-        filter_spec=eff.filter_spec,
-        provenance=provenance,
-    )
+    return replace(eff, hamiltonian=tuple(ham), dissipators=tuple(dis))
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +709,13 @@ def _mono_label(modes, op: OperatorSum) -> str:
 
 
 def export_model(eff: EffectiveModel, fmt: str = "json"):
-    """Serialize an effective model ("json" dict or "text" listing)."""
+    """Serialize an effective model ("json" dict or "text" listing).
+
+    The json document holds every field of ``eff``; ``"params"`` is left
+    out when empty.  The text listing shows the terms only.
+    """
     if fmt == "json":
-        return {
+        document = {
             "order": eff.order,
             "modes": [
                 {"name": m.name, "kind": m.kind, "truncation": m.truncation}
@@ -753,6 +739,9 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
                 for term in eff.dissipators
             ],
         }
+        if eff.params:
+            document["params"] = dict(eff.params)
+        return document
     if fmt == "text":
         lines = [f"# effective model, order {eff.order}", "[hamiltonian]"]
         for term in eff.hamiltonian:
@@ -771,17 +760,17 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def load_effective(
-    document, filter_spec: GaussianFilter | None = None
-) -> EffectiveModel:
-    """Inverse of :func:`export_model` for the json format.
+def load_effective(document) -> EffectiveModel:
+    """Inverse of :func:`export_model` for the json format (a dict or json
+    text).
 
-    A ``coeff``, ``rate``, ``L`` or ``J`` that is not a string, or an
-    ``order`` that is not an integer of at least 1, raises ``ValueError``
-    naming the field.
+    A document that is not an object, ``modes``, ``hamiltonian`` or
+    ``dissipators`` that is not a list of objects, a ``coeff``, ``rate``,
+    ``L`` or ``J`` that is not a string, an ``order`` that is not an
+    integer of at least 1, or ``params`` that do not map names to finite
+    numbers raises ``ValueError`` naming the field.
     """
-    if isinstance(document, str):
-        document = json.loads(document)
+    document = _json_object(document)
     order = document.get("order")
     if (
         isinstance(order, bool)
@@ -791,12 +780,27 @@ def load_effective(
         raise ValueError(
             f'effective model "order" must be an integer >= 1, got {order!r}'
         )
-    modes = tuple(
-        ModeSpec(m["name"], m["kind"], m.get("truncation"))
-        for m in document["modes"]
-    )
-    values = [_text_field(entry, "coeff") for entry in document["hamiltonian"]]
-    values += [_text_field(entry, "rate") for entry in document["dissipators"]]
+    params = document.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValueError(
+            f'effective model "params" must be an object such as '
+            f'{{"g": 0.3}}, got {params!r:.60}'
+        )
+    for name, value in params.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(
+                f'effective model param "{name}" must be a finite number, '
+                f"got {value!r}"
+            )
+    modes = _modes(_object_list("modes", document["modes"]))
+    hamiltonian = _object_list("hamiltonian", document["hamiltonian"])
+    dissipators = _object_list("dissipators", document["dissipators"])
+    values = [_text_field(entry, "coeff") for entry in hamiltonian]
+    values += [_text_field(entry, "rate") for entry in dissipators]
     locs = _coupling_locals(set().union(*map(_symbol_names, values)))
     ham = tuple(
         HamiltonianTermSpec(
@@ -804,7 +808,7 @@ def load_effective(
             FreqExpr.parse(entry["frequency"]),
             parse_operator(entry["operator"], modes),
         )
-        for entry in document["hamiltonian"]
+        for entry in hamiltonian
     )
     dis = tuple(
         DissipatorTermSpec(
@@ -813,15 +817,14 @@ def load_effective(
             parse_operator(_text_field(entry, "L"), modes),
             parse_operator(_text_field(entry, "J"), modes),
         )
-        for entry in document["dissipators"]
+        for entry in dissipators
     )
     return EffectiveModel(
         order=order,
         modes=modes,
         hamiltonian=ham,
         dissipators=dis,
-        filter_spec=filter_spec or GaussianFilter(),
-        provenance={"loaded": True},
+        params=dict(params),
     )
 
 

@@ -549,8 +549,9 @@ def test_06_dynamics_order3_beats_order1():
     elapsed = time.perf_counter() - start
     _verdict(
         "6 dynamics accuracy ordering",
-        err3 < err1 and elapsed < 300.0,
-        f"order-3 err {err3:.3e} < order-1 err {err1:.3e}, {elapsed:.0f}s",
+        err3 < 0.01 and 10 * err3 < err1 and elapsed < 300.0,
+        f"order-3 err {err3:.3e} < 0.01 and < order-1 err {err1:.3e} / 10, "
+        f"{elapsed:.0f}s",
     )
 
 
@@ -563,8 +564,9 @@ def test_06b_dynamics_full_scale():
     elapsed = time.perf_counter() - start
     _verdict(
         "6b dynamics accuracy ordering (full scale)",
-        err3 < err1 and elapsed < 1800.0,
-        f"order-3 err {err3:.3e} < order-1 err {err1:.3e}, {elapsed:.0f}s",
+        2 * err3 < err1 and elapsed < 1800.0,
+        f"order-3 err {err3:.3e} < order-1 err {err1:.3e} / 2, "
+        f"{elapsed:.0f}s",
     )
 
 
@@ -652,8 +654,6 @@ def test_08_rate_split_properties():
             term for term in eff.hamiltonian if term.freq == FreqExpr.zero()
         ),
         dissipators=(),
-        filter_spec=eff.filter_spec,
-        provenance={},
     )
     h = sum(
         complex(scalar_eval(term.coeff, assignment)) * term.op.matrix()

@@ -60,6 +60,19 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag", ["--params=nonsense", "--params=gg=1", "--window=5ns"]
+    )
+    def test_validation_error_on_pruning_flag_without_threshold(
+        self, flag, capsys
+    ):
+        code = main(["derive", "--preset", "rabi", "--order", "1", flag])
+        assert code == 3
+        name = flag.split("=")[0]
+        assert f"{name} applies only with --threshold" in (
+            capsys.readouterr().err
+        )
+
     def test_validation_error_without_model_source(self, capsys):
         assert main(["derive", "--order", "1"]) == 3
         capsys.readouterr()
@@ -192,6 +205,10 @@ class TestExitCodes:
             (("terms", 0, "operator"), 5, "operator must be a string"),
             (("terms", 0, "coupling"), None, "coupling must be a string"),
             (("symbols",), ["w", "g"], '"symbols" must be an object'),
+            *(
+                ((key,), [1], f'"{key}" must be a list of objects')
+                for key in ("modes", "terms", "ramps")
+            ),
         ],
     )
     def test_validation_error_on_wrong_typed_field(
@@ -240,6 +257,13 @@ class TestExitCodes:
             ("rabi_order3.json", ("dissipators", 0, "rate"), 0.5),
             ("rabi_order3.json", ("dissipators", 0, "L"), None),
             ("rabi_order3.json", ("dissipators", 0, "J"), 3),
+            ("rabi_order1.json", ("modes",), [1]),
+            ("rabi_order1.json", ("hamiltonian",), [1]),
+            ("rabi_order3.json", ("dissipators",), [1]),
+            ("rabi_order1.json", ("params",), [1]),
+            ("rabi_order1.json", ("params", "g"), True),
+            ("rabi_order1.json", ("params", "g"), "2pi*50MHz"),
+            ("rabi_order1.json", ("params", "g"), float("inf")),
         ],
     )
     def test_validation_error_on_wrong_typed_effective_field(
@@ -258,6 +282,45 @@ class TestExitCodes:
         )
         assert code == 3
         assert f'"{path[-1]}" must be' in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["derive", "--model"],
+            ["simulate", "--initial", "fock(0)*e", "--t1", "0.1ns",
+             "--effective"],
+        ],
+        ids=["derive", "simulate"],
+    )
+    def test_validation_error_on_document_that_is_not_an_object(
+        self, args, tmp_path, capsys
+    ):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main([*args, str(path)]) == 3
+        assert "must be a json object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "observe", [["n=a'*a", "n=t(e,e)"], ["t=t(e,e)"]]
+    )
+    def test_validation_error_on_observe_label_collision(
+        self, observe, model_path, capsys
+    ):
+        args = ["simulate", "--model", model_path, "--initial", "fock(0)*e",
+                "--t1", "0.1ns", "--samples", "3"]
+        for entry in observe:
+            args += ["--observe", entry]
+        assert main(args) == 3
+        assert "repeat a column name" in capsys.readouterr().err
+
+    def test_validation_error_on_repeated_compare_column(
+        self, tmp_path, capsys
+    ):
+        ref, test = tmp_path / "ref.csv", tmp_path / "test.csv"
+        ref.write_text("t,t\n0,0\n1,1\n")
+        test.write_text("t,t\n0,1\n1,0\n")
+        assert main(["compare", "--ref", str(ref), "--test", str(test)]) == 3
+        assert "repeated column name" in capsys.readouterr().err
 
     def test_validation_error_on_non_finite_time(self, capsys):
         code = main(

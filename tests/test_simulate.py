@@ -33,7 +33,7 @@ from stcg.simulate import (
     integrate,
     rate_decomposition,
 )
-from stcg.symbols import TIME, FreqExpr, GaussianFilter
+from stcg.symbols import TIME, FreqExpr
 
 JC_MODES = (ModeSpec("a", "bosonic", 6), ModeSpec("q", "two_level"))
 BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -68,8 +68,6 @@ def effective_from(model, order=1):
         modes=model.modes,
         hamiltonian=terms,
         dissipators=(),
-        filter_spec=GaussianFilter(),
-        provenance={},
     )
 
 
@@ -94,8 +92,6 @@ def lindblad_model(modes, hamiltonian, dissipators):
             DissipatorTermSpec(sp.sympify(r), FreqExpr.parse(f), left, right)
             for r, f, left, right in dissipators
         ),
-        filter_spec=GaussianFilter(),
-        provenance={},
     )
 
 
