@@ -101,13 +101,20 @@ def _with_tau(model: ModelSpec, tau_text: str | None) -> ModelSpec:
 
 
 def _check_overrides(overrides, eff):
-    """Reject a ``--params`` name other than ``tau`` that an effective model
-    neither lists in its ``params`` nor uses in a coefficient or frequency."""
+    """Reject a ``--params`` name that an effective model neither lists in
+    its ``params`` nor uses in a coefficient or frequency, and ``tau``
+    unless a coefficient uses it: a model derived at a numeric tau holds
+    it as numbers."""
     terms = eff.hamiltonian + eff.dissipators
     values = [t.coeff for t in eff.hamiltonian]
     values += [t.rate for t in eff.dissipators]
-    known = set(eff.params) | {"tau"}
-    known |= {s.name for v in values for s in v.free_symbols} - {"t"}
+    used = {s.name for v in values for s in v.free_symbols} - {"t"}
+    if "tau" in overrides and "tau" not in used:
+        raise ValueError(
+            "tau is already numeric in this effective model (no coefficient "
+            "uses it), so --tau and --params tau=... cannot change it"
+        )
+    known = set(eff.params) | used
     known |= {name for t in terms for name in t.freq.symbols}
     unknown = set(overrides) - known
     if unknown:
@@ -157,11 +164,10 @@ def _cmd_simulate(args) -> int:
     if args.effective:
         with open(args.effective) as fh:
             generator = load_effective(fh.read())
-        _check_overrides(overrides, generator)
-        assignment = dict(generator.params)
         if args.tau is not None:
-            assignment["tau"] = parse_quantity(args.tau)
-        assignment.update(overrides)
+            overrides = {"tau": parse_quantity(args.tau), **overrides}
+        _check_overrides(overrides, generator)
+        assignment = {**generator.params, **overrides}
         modes = generator.modes
     else:
         model = _with_tau(_load_model_arg(args), args.tau)

@@ -101,6 +101,41 @@ class DissipatorTermSpec:
         )
 
 
+def unpaired_term(terms: Sequence, values: Sequence, conjugates):
+    """The first of ``terms`` without a conjugate partner, or None.
+
+    A term's partner has the frequency and operators of its
+    ``conjugate()`` and a value ``v'`` with ``conjugates(v, v')`` for the
+    term's own value v; ``values`` holds one value per term, symbolic or
+    numeric.  A term may be its own partner.  Terms are grouped by kind,
+    frequency and operators, compared exactly, so ``conjugates`` only
+    sees candidates with the partner's frequency and operators.
+    """
+    waiting = defaultdict(list)  # key -> (term, value) still unpaired
+    for term, value in zip(terms, values):
+        own, partner = _pair_keys(term)
+        if own == partner and conjugates(value, value):
+            continue
+        pending = waiting[partner]
+        for n, (_, other) in enumerate(pending):
+            if conjugates(value, other):
+                del pending[n]
+                break
+        else:
+            waiting[own].append((term, value))
+    return next((t for pending in waiting.values() for t, _ in pending), None)
+
+
+def _pair_keys(term):
+    """Kind, frequency and operators of ``term`` and of its conjugate."""
+    if isinstance(term, HamiltonianTermSpec):
+        return ("H", term.freq, term.op), ("H", -term.freq, term.op.adjoint())
+    return (
+        ("D", term.freq, term.left, term.right),
+        ("D", -term.freq, term.right.adjoint(), term.left.adjoint()),
+    )
+
+
 @dataclass
 class ModelSpec:
     """Interaction-picture model: modes, symbols, terms, and the filter."""
@@ -131,24 +166,16 @@ class ModelSpec:
 
     def check_hermitian(self):
         """Every term must have its conjugate partner in the list."""
-        remaining = list(self.terms)
-        while remaining:
-            term = remaining.pop()
-            partner = term.conjugate()
-            for i, cand in enumerate(remaining):
-                if (
-                    cand.freq == partner.freq
-                    and cand.op == partner.op
-                    and _vanishes(cand.coeff - partner.coeff)
-                ):
-                    remaining.pop(i)
-                    break
-            else:
-                if not _is_self_conjugate(term):
-                    raise ValueError(
-                        f"model {self.name!r} not Hermitian: no conjugate "
-                        f"partner for term at frequency {term.freq}"
-                    )
+        term = unpaired_term(
+            self.terms,
+            [t.coeff for t in self.terms],
+            lambda a, b: _vanishes(a - sp.conjugate(b)),
+        )
+        if term is not None:
+            raise ValueError(
+                f"model {self.name!r} not Hermitian: no conjugate partner "
+                f"for term at frequency {term.freq}"
+            )
 
     def numeric_assignment(
         self, overrides: Mapping[str, float] | None = None
@@ -169,15 +196,6 @@ class ModelSpec:
         if missing:
             raise ValueError(f"no numeric value for symbol(s) {missing}")
         return out
-
-
-def _is_self_conjugate(term: HamiltonianTermSpec) -> bool:
-    partner = term.conjugate()
-    return (
-        partner.freq == term.freq
-        and partner.op == term.op
-        and _vanishes(partner.coeff - term.coeff)
-    )
 
 
 @dataclass
@@ -274,9 +292,32 @@ def _object_list(key: str, value) -> list:
     return value
 
 
-def _modes(entries: list) -> tuple[ModeSpec, ...]:
+def _field(entry: Mapping, key: str, what: str):
+    """``entry[key]``; a missing key raises ``ValueError`` naming ``what``,
+    the kind of entry, and the field."""
+    if key not in entry:
+        raise ValueError(f'{what} has no "{key}" field')
+    return entry[key]
+
+
+def _text_field(entry: Mapping, key: str, what: str) -> str:
+    """``entry[key]``, which must be a string."""
+    value = _field(entry, key, what)
+    if not isinstance(value, str):
+        raise ValueError(
+            f'{what} field "{key}" must be a string, got {value!r}'
+        )
+    return value
+
+
+def _modes(entries: list, what: str) -> tuple[ModeSpec, ...]:
+    what = f"{what} mode"
     return tuple(
-        ModeSpec(m["name"], m["kind"], m.get("truncation")) for m in entries
+        ModeSpec(
+            _field(m, "name", what), _field(m, "kind", what),
+            m.get("truncation"),
+        )
+        for m in entries
     )
 
 
@@ -286,14 +327,14 @@ def load_model(document) -> ModelSpec:
 
     The term list must be Hermitian as written: a term without its
     conjugate partner is rejected, as is a document that is not an object,
-    ``modes``, ``terms`` or ``ramps`` that is not a list of objects, and a
-    field of the wrong type.
+    ``modes``, ``terms`` or ``ramps`` that is not a list of objects, a
+    missing field of a mode, term or ramp, and a field of the wrong type.
     """
     if isinstance(document, str) and not document.lstrip().startswith("{"):
         with open(document) as fh:
             document = fh.read()
     document = _json_object(document)
-    modes = _modes(_object_list("modes", document.get("modes", [])))
+    modes = _modes(_object_list("modes", document.get("modes", [])), "model")
     symbols = document.get("symbols", {})
     if not isinstance(symbols, Mapping):
         raise ValueError(
@@ -319,9 +360,21 @@ def load_model(document) -> ModelSpec:
         params.setdefault(TAU.name, parse_quantity(tau))
 
     locs = _coupling_locals(params)
-    ramps = _object_list("ramps", document.get("ramps", []))
-    regulator = document.get("regulator", RAMP_REGULATOR) if ramps else None
-    durations = {ramp["duration"] for ramp in ramps}
+    ramps = [
+        (
+            _text_field(ramp, "symbol", "model ramp"),
+            _text_field(ramp, "duration", "model ramp"),
+        )
+        for ramp in _object_list("ramps", document.get("ramps", []))
+    ]
+    regulator = None
+    if ramps:
+        regulator = document.get("regulator", RAMP_REGULATOR)
+        if not isinstance(regulator, str):
+            raise ValueError(
+                f'model field "regulator" must be a string, got {regulator!r}'
+            )
+    durations = {duration for _, duration in ramps}
     if regulator in set(params) | durations | {TIME.name, TAU.name}:
         raise ValueError(
             f"regulator {regulator!r} is already a model symbol; choose "
@@ -329,7 +382,7 @@ def load_model(document) -> ModelSpec:
         )
     terms = []
     for entry in _object_list("terms", document.get("terms", [])):
-        coupling = entry["coupling"]
+        coupling = _field(entry, "coupling", "model term")
         if isinstance(coupling, bool) or not isinstance(
             coupling, (str, int, float)
         ):
@@ -337,20 +390,20 @@ def load_model(document) -> ModelSpec:
                 f"coupling must be a string or a number, got {coupling!r}"
             )
         coeff = sp.sympify(coupling, locals=locs)
-        freq = FreqExpr.parse(entry["frequency"])
+        freq = FreqExpr.parse(_field(entry, "frequency", "model term"))
         unknown = set(freq.symbols) - set(params)
         if unknown:
             raise ValueError(f"undeclared frequency symbol(s) {sorted(unknown)}")
-        op = parse_operator(entry["operator"], modes)
+        op = parse_operator(_field(entry, "operator", "model term"), modes)
         term = HamiltonianTermSpec(coeff, freq, op)
         # A term is ramped (coupling means coeff * t/duration) when a ramp
         # entry's symbol appears in its coupling; an explicit "ramped" field
         # on the term overrides the symbol match.
         matched = None
         if entry.get("ramped") is not False:
-            for ramp in ramps:
-                if sp.Symbol(ramp["symbol"], real=True) in coeff.free_symbols:
-                    matched = ramp
+            for symbol, duration in ramps:
+                if sp.Symbol(symbol, real=True) in coeff.free_symbols:
+                    matched = duration
                     break
             if entry.get("ramped") and matched is None:
                 raise ValueError(
@@ -360,9 +413,12 @@ def load_model(document) -> ModelSpec:
         if matched is None:
             terms.append(term)
         else:
-            duration = sp.Symbol(matched["duration"], positive=True)
-            params.setdefault(matched["duration"], None)
-            terms.extend(encode_linear_ramp(term, duration, regulator))
+            params.setdefault(matched, None)
+            terms.extend(
+                encode_linear_ramp(
+                    term, sp.Symbol(matched, positive=True), regulator
+                )
+            )
 
     model = ModelSpec(
         name=document.get("name", "model"),
@@ -764,11 +820,11 @@ def load_effective(document) -> EffectiveModel:
     """Inverse of :func:`export_model` for the json format (a dict or json
     text).
 
-    A document that is not an object, ``modes``, ``hamiltonian`` or
-    ``dissipators`` that is not a list of objects, a ``coeff``, ``rate``,
-    ``L`` or ``J`` that is not a string, an ``order`` that is not an
-    integer of at least 1, or ``params`` that do not map names to finite
-    numbers raises ``ValueError`` naming the field.
+    A document that is not an object, a missing field, ``modes``,
+    ``hamiltonian`` or ``dissipators`` that is not a list of objects, a
+    ``coeff``, ``rate``, ``L`` or ``J`` that is not a string, an ``order``
+    that is not an integer of at least 1, or ``params`` that do not map
+    names to finite numbers raises ``ValueError`` naming the field.
     """
     document = _json_object(document)
     order = document.get("order")
@@ -796,26 +852,34 @@ def load_effective(document) -> EffectiveModel:
                 f'effective model param "{name}" must be a finite number, '
                 f"got {value!r}"
             )
-    modes = _modes(_object_list("modes", document["modes"]))
-    hamiltonian = _object_list("hamiltonian", document["hamiltonian"])
-    dissipators = _object_list("dissipators", document["dissipators"])
-    values = [_text_field(entry, "coeff") for entry in hamiltonian]
-    values += [_text_field(entry, "rate") for entry in dissipators]
+    what = "effective model"
+    modes = _modes(
+        _object_list("modes", _field(document, "modes", what)), what
+    )
+    hamiltonian = _object_list(
+        "hamiltonian", _field(document, "hamiltonian", what)
+    )
+    dissipators = _object_list(
+        "dissipators", _field(document, "dissipators", what)
+    )
+    what = "effective model term"
+    values = [_text_field(entry, "coeff", what) for entry in hamiltonian]
+    values += [_text_field(entry, "rate", what) for entry in dissipators]
     locs = _coupling_locals(set().union(*map(_symbol_names, values)))
     ham = tuple(
         HamiltonianTermSpec(
             sp.sympify(entry["coeff"], locals=locs),
-            FreqExpr.parse(entry["frequency"]),
-            parse_operator(entry["operator"], modes),
+            FreqExpr.parse(_field(entry, "frequency", what)),
+            parse_operator(_field(entry, "operator", what), modes),
         )
         for entry in hamiltonian
     )
     dis = tuple(
         DissipatorTermSpec(
             sp.sympify(entry["rate"], locals=locs),
-            FreqExpr.parse(entry["frequency"]),
-            parse_operator(_text_field(entry, "L"), modes),
-            parse_operator(_text_field(entry, "J"), modes),
+            FreqExpr.parse(_field(entry, "frequency", what)),
+            parse_operator(_text_field(entry, "L", what), modes),
+            parse_operator(_text_field(entry, "J", what), modes),
         )
         for entry in dissipators
     )
@@ -826,17 +890,6 @@ def load_effective(document) -> EffectiveModel:
         dissipators=dis,
         params=dict(params),
     )
-
-
-def _text_field(entry: Mapping, key: str) -> str:
-    """``entry[key]``, which an exported term stores as a string."""
-    value = entry.get(key)
-    if not isinstance(value, str):
-        raise ValueError(
-            f'effective model term field "{key}" must be a string, got '
-            f"{value!r}"
-        )
-    return value
 
 
 def _symbol_names(expr_text: str) -> set[str]:

@@ -7,47 +7,43 @@ equation of the input model.  Fixed-step RK4 keeps trajectories
 reproducible; trajectories can then be Gaussian-averaged in time and
 reduced to observable series.
 
-Both branches share one right-hand side, ``A(t) rho + rho B(t) +
-sum_j r_j(t) L_j rho J_j`` with ``A = -iH - sum_j r_j JL_j / 2`` and
-``B = +iH - sum_j r_j JL_j / 2``.  A and B are stored on the union
-non-zero pattern of all H and JL matrices, K slots per row (column),
-and rebuilt at each new time by one small product over the term
-coefficients.  A narrow pattern (``K * GATHER_RATIO <= d``) is applied
-by K row and K column gathers, a wide one by one dense matrix product
-per side.  The jump terms ``L rho J`` form one flat table built from
-the non-zeros of every L and J, K' weighted entries of rho per output
-entry, applied together by one gather of rho, one of the coefficients
-and one sum over the slots.  The time-free coefficients are evaluated
-together by one vectorised exp, and a call at the time of the previous
-one (the two RK4 midpoint stages, a step's last stage and the next
-step's first) reuses the coefficient-weighted values.
+Both branches map a Hermitian rho to a Hermitian rho': every H term and
+dissipator has a partner at the opposite frequency with the adjoint
+operators and the conjugate value.  That is decided once, on the terms
+of the model, when they are realized: time-free values must agree to
+``PAIR_RTOL`` relative, time-dependent ones exactly as sympy
+expressions.  An unpaired term raises ``ValueError``, and so does a rho0
+that is not exactly Hermitian.
 
-When rho0 is Hermitian and the terms are closed under conjugation (every
-H term and dissipator has a partner at the opposite frequency with the
-adjoint operators and the conjugate value), ``B = A^dagger`` and the
-jump sum is Hermitian, so :func:`integrate` takes the Hermitian half:
-``X = A rho + U`` with U the jump sum on the upper triangle only (half
-the records, diagonal weights halved) and ``rhs = X + X^dagger``.  Every
-stage and sample is then exactly Hermitian.  Any other input (a
-non-Hermitian rho0, a time-dependent coefficient, an unpaired term)
-takes the general two-sided right-hand side.
+The density-matrix right-hand side is ``X + X^dagger`` with ``X = A(t)
+rho + U``, ``A = -iH - sum_j r_j JL_j / 2`` and U the jump sum ``sum_j
+r_j(t) L_j rho J_j`` on its upper triangle, diagonal halved; every stage
+and sample is exactly Hermitian.  A is stored on the union non-zero
+pattern of all H and JL matrices, K slots per row, and rebuilt at each
+new time by one small product over the term coefficients.  A narrow
+pattern (``K * GATHER_RATIO <= d``) is applied by K row gathers, a wide
+one by one dense matrix product.  The jump terms form one flat table
+built from the non-zeros of every L and J, K' weighted entries of rho per
+output entry, applied together by one gather of rho, one of the
+coefficients and one sum over the slots.  The time-free coefficients are
+evaluated together by one vectorised exp, and a call at the time of the
+previous one (the two RK4 midpoint stages, a step's last stage and the
+next step's first) reuses the coefficient-weighted values.
 
-A unitary run takes the vector path instead: when the realized
-generator has no dissipators, every coefficient is time-free, the H
-terms are closed under conjugation (so H(t) is Hermitian) and rho0 is
-exactly Hermitian and positive semidefinite, rho0 is split as ``Psi
-Psi^dagger`` by a pivoted Cholesky (rank r) and RK4 integrates ``Psi' =
--i H(t) Psi`` on the d x r block, applying A by the same slot product.
-Each sample stores ``Psi Psi^dagger`` made exactly Hermitian.  Unlike
-rho-RK4, whose generator is trace-free, RK4 on vectors loses norm (about
-theta^6/72 a step), so the vector path runs one sample interval at a
-time and repeats an interval at twice the steps, keeping the finer
-stride, while ``sum |psi|^2`` fell by more than ``TRACE_TOL / 2 /
-(n_samples - 1)``.  ``Trajectory.meta["rhs"]`` records the path taken
-(``vector``, ``hermitian`` or ``general``) and ``meta["steps"]`` the RK4
-steps, repeated intervals included.  Every path shares one RK4 loop
-with stage times ``t0 + n*dt``, works in preallocated arrays and writes
-samples into a preallocated trajectory.
+A run without dissipators takes the vector path instead when rho0 is
+positive semidefinite: rho0 is split as ``Psi Psi^dagger`` by a pivoted
+Cholesky (rank r) and RK4 integrates ``Psi' = -i H(t) Psi`` on the d x r
+block, applying A by the same slot product.  Each sample stores ``Psi
+Psi^dagger`` made exactly Hermitian.  Unlike rho-RK4, whose generator is
+trace-free, RK4 on vectors loses norm (about theta^6/72 a step), so the
+vector path runs one sample interval at a time and repeats an interval
+at twice the steps, keeping the finer stride, while ``sum |psi|^2`` fell
+by more than ``TRACE_TOL / 2 / (n_samples - 1)``.
+``Trajectory.meta["rhs"]`` records the path taken (``vector`` or
+``hermitian``) and ``meta["steps"]`` the RK4 steps, repeated intervals
+included.  Both paths share one RK4 loop with stage times ``t0 + n*dt``,
+work in preallocated arrays and write samples into a preallocated
+trajectory.
 """
 
 from __future__ import annotations
@@ -60,7 +56,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import sympy as sp
 
-from .model import EffectiveModel, ModelSpec
+from .model import (
+    EffectiveModel,
+    HamiltonianTermSpec,
+    ModelSpec,
+    unpaired_term,
+)
 from .operators import ModeSpec, OperatorSum, parse_operator
 from .symbols import TIME, FreqExpr
 
@@ -223,14 +224,16 @@ def build_initial(
 @dataclass(frozen=True)
 class _Coefficient:
     """``value * exp(-i*omega*t)``; a time-dependent coefficient keeps its
-    prefactor as ``body(t)`` in place of ``value``."""
+    prefactor, the model symbols substituted, as the sympy ``body`` and
+    evaluates it as ``at(t)`` in place of ``value``."""
 
     value: complex
     omega: float
-    body: Callable[[float], complex] | None = None
+    body: sp.Expr | None = None
+    at: Callable[[float], complex] | None = None
 
     def __call__(self, t: float) -> complex:
-        value = complex(self.body(t)) if self.body else self.value
+        value = complex(self.at(t)) if self.at else self.value
         return value * cmath.exp(-1j * self.omega * t)
 
 
@@ -255,7 +258,9 @@ def _coefficient(coeff: sp.Expr, freq: FreqExpr, assignment):
             "evaluate to a number"
         ) from None
     if timed:
-        return _Coefficient(0j, omega, sp.lambdify(TIME, body, modules="numpy"))
+        return _Coefficient(
+            0j, omega, body, sp.lambdify(TIME, body, modules="numpy")
+        )
     return _Coefficient(value, omega)
 
 
@@ -264,11 +269,14 @@ def _realize(generator, assignment):
 
     Hamiltonian terms are ``(H, coeff)``; dissipators are ``(L, J, JL,
     rate)`` with L and J as COO triplets (see :func:`_coo`) and JL dense.
-    Coefficients and rates are :class:`_Coefficient`.
+    Coefficients and rates are :class:`_Coefficient`.  Every term needs
+    its conjugate partner (:func:`stcg.model.unpaired_term`, values
+    compared by :func:`_conjugates`), so that the generator maps a
+    Hermitian rho to a Hermitian rho'; an unpaired term raises
+    ``ValueError``.  Pairing compares the operators as operator sums, not
+    their matrices: those of ``a'^3*a`` and ``a'*a^3`` are not each
+    other's adjoints to the last bit.
     """
-    ham = []
-    dis = []
-    fastest = 0.0
     if isinstance(generator, EffectiveModel):
         terms = generator.hamiltonian
         dterms = generator.dissipators
@@ -284,26 +292,57 @@ def _realize(generator, assignment):
         modes = generator.modes
     else:
         raise TypeError(f"cannot integrate {type(generator).__name__}")
-    for term in terms:
-        coeff = _coefficient(term.coeff, term.freq, assignment)
-        ham.append((term.op.matrix(assignment), coeff))
-        fastest = max(fastest, abs(coeff.omega))
-    for term in dterms:
-        rate = _coefficient(term.rate, term.freq, assignment)
+    coeffs = [_coefficient(t.coeff, t.freq, assignment) for t in terms]
+    rates = [_coefficient(t.rate, t.freq, assignment) for t in dterms]
+    term = unpaired_term(terms + dterms, coeffs + rates, _conjugates)
+    if term is not None:
+        ops = (
+            [term.op] if isinstance(term, HamiltonianTermSpec)
+            else [term.left, term.right]
+        )
+        raise ValueError(
+            "generator does not preserve Hermiticity: no conjugate partner "
+            f"for the term at frequency {term.freq} with operator(s) "
+            f"{', '.join(map(str, ops))}"
+        )
+    ham = [(t.op.matrix(assignment), c) for t, c in zip(terms, coeffs)]
+    dis = []
+    for term, rate in zip(dterms, rates):
         lmat = term.left.matrix(assignment)
         jmat = term.right.matrix(assignment)
         dis.append((_coo(lmat), _coo(jmat), jmat @ lmat, rate))
-        fastest = max(fastest, abs(rate.omega))
+    fastest = max((abs(c.omega) for c in coeffs + rates), default=0.0)
     dim = int(np.prod([m.dim for m in modes]))
     return ham, dis, fastest, dim
 
 
-def _generator(ham, dis, dim: int, hermitian: bool = False, vectors: int = 0):
-    """``rhs(t, rho, out)``: ``out = A(t) rho + rho B(t) + sum_j r_j(t)
-    L_j rho J_j``.
+#: Relative mismatch allowed between a time-free term value and the
+#: conjugate of its partner's in :func:`_conjugates`.
+PAIR_RTOL = 1e-12
 
-    ``A = -iH - sum_j r_j JL_j / 2`` and ``B = +iH - sum_j r_j JL_j / 2``
-    share the union non-zero pattern of all H and ``JL`` matrices, whose
+
+def _conjugates(a: _Coefficient, b: _Coefficient) -> bool:
+    """Whether ``a`` is the conjugate of ``b``: time-free values to
+    :data:`PAIR_RTOL` relative, time-dependent bodies exactly."""
+    if a.body is None and b.body is None:
+        return abs(a.value - b.value.conjugate()) <= PAIR_RTOL * max(
+            abs(a.value), abs(b.value)
+        )
+    if a.body is None or b.body is None:
+        return False
+    return sp.expand(sp.conjugate(a.body) - b.body) == 0
+
+
+def _generator(ham, dis, dim: int, vectors: int = 0):
+    """``rhs(t, rho, out)``: ``out = A(t) rho + rho A(t)^dagger + sum_j
+    r_j(t) L_j rho J_j`` for a Hermitian rho, with ``A = -iH - sum_j r_j
+    JL_j / 2``.
+
+    The terms are paired under conjugation (see :func:`_realize`), so the
+    jump sum S is Hermitian for a Hermitian rho.  The call forms ``X = A
+    rho + U``, with U the jump sum on its upper triangle (diagonal
+    halved), and returns ``out = X + X^dagger``, exactly Hermitian.  A
+    shares the union non-zero pattern of all H and ``JL`` matrices, whose
     per-term values are laid out once here; each call combines them with
     one small product over the term coefficients (see
     :func:`_slot_product`).  All jump terms are applied together by one
@@ -311,40 +350,31 @@ def _generator(ham, dis, dim: int, hermitian: bool = False, vectors: int = 0):
     evaluated together by one vectorised exp (see :func:`_evaluator`); a
     call at the previous call's t reuses all coefficient-weighted values.
 
-    ``hermitian`` promises that every ``rho`` passed in is Hermitian.  If
-    the terms are also closed under conjugation (see
-    :func:`_conjugate_closed`), then ``B = A^dagger`` and the jump sum is
-    Hermitian, and the call takes the Hermitian-half branch: ``X = A rho
-    + U`` with U the jump sum on its upper triangle (diagonal halved), and
-    ``out = X + X^dagger``, exactly Hermitian.  Otherwise it takes the
-    general branch above.
-
     ``vectors = r > 0``, for ``dis`` empty, takes the vector branch
     instead: the operand is a d x r block of state vectors and ``out =
-    A(t) psi = -i H(t) psi``.  ``rhs.branch`` names the branch taken and
-    ``rhs.jump_records`` counts the jump table's records.
+    A(t) psi = -i H(t) psi``.  ``rhs.branch`` names the branch taken
+    (``hermitian`` or ``vector``) and ``rhs.jump_records`` counts the jump
+    table's records.
 
     Work arrays are allocated once, so a call allocates no array the size
     of its operand and a generator is not reentrant.
     """
     mats = [mat for mat, _ in ham] + [jl for _, _, jl, _ in dis]
     coefficients = _evaluator([c for _, c in ham] + [c for *_, c in dis])
-    half = hermitian and _conjugate_closed(ham, dis)
     pattern = np.zeros((dim, dim), dtype=bool)
     for mat in mats:
         pattern |= mat != 0
-    # the -i, +i and -1/2 of A and B go into the term values once, so a
-    # call passes the bare coefficients
+    # the -i and -1/2 of A go into the term values once, so a call passes
+    # the bare coefficients
     left = _slot_product(
         [-1j * mat for mat, _ in ham] + [-0.5 * jl for _, _, jl, _ in dis],
         pattern,
-        axis=0,
         shape=(dim, vectors or dim),
     )
     if vectors:
 
         def rhs(t, psi, out):
-            left(coefficients(t), psi, out, add=False)
+            left(coefficients(t), psi, out)
             return out
 
         rhs.branch = "vector"
@@ -353,39 +383,24 @@ def _generator(ham, dis, dim: int, hermitian: bool = False, vectors: int = 0):
     table = _jump_table(
         [(lop, jop, len(ham) + k) for k, (lop, jop, _, _) in enumerate(dis)],
         dim,
-        upper=half,
     )
-    if half:
-        upper = np.empty((dim, dim), dtype=complex)
+    upper = np.empty((dim, dim), dtype=complex)
 
-        def rhs(t, rho, out):
-            coeffs = coefficients(t)
-            left(coeffs, rho, upper, add=False)
-            table(coeffs, rho, upper)
-            np.conjugate(upper.T, out=out)
-            out += upper
-            return out
+    def rhs(t, rho, out):
+        coeffs = coefficients(t)
+        left(coeffs, rho, upper)
+        table(coeffs, rho, upper)
+        np.conjugate(upper.T, out=out)
+        out += upper
+        return out
 
-    else:
-        right = _slot_product(
-            [1j * mat for mat, _ in ham] + [-0.5 * jl for _, _, jl, _ in dis],
-            pattern,
-            axis=1,
-        )
-
-        def rhs(t, rho, out):
-            coeffs = coefficients(t)
-            left(coeffs, rho, out, add=False)
-            right(coeffs, rho, out, add=True)
-            table(coeffs, rho, out)
-            return out
-
-    rhs.branch = "hermitian" if half else "general"
+    rhs.branch = "hermitian"
     rhs.jump_records = table.records
     return rhs
 
 
 def _evaluator(coeffs: Sequence[_Coefficient]):
+
     """``at(t)``: every coefficient at time t, written into one vector that
     each call reuses.  The time-free ones take one vectorised exp; only
     time-dependent ones call their ``body``.  A call at the previous
@@ -414,63 +429,6 @@ def _evaluator(coeffs: Sequence[_Coefficient]):
     return at
 
 
-#: Relative mismatch allowed between a term's value and the conjugate of
-#: its partner's in :func:`_conjugate_closed`.
-PAIR_RTOL = 1e-12
-
-
-def _conjugate_closed(ham, dis) -> bool:
-    """Whether the realized terms pair up under conjugation.
-
-    Every coefficient must be time-free.  An H term ``(v, omega, M)``
-    needs a partner ``(v', -omega, M^dagger)`` and a dissipator ``(v,
-    omega, L, J)`` one ``(v', -omega, J^dagger, L^dagger)``, with
-    operators equal exactly and ``v' = conj(v)`` to :data:`PAIR_RTOL`
-    relative; a term may be its own partner.  Operators are compared as
-    COO triplets.
-    """
-    coeffs = [c for _, c in ham] + [c for *_, c in dis]
-    if any(c.body is not None for c in coeffs):
-        return False
-    keys = []
-    for mat, _ in ham:
-        op = _coo(mat)
-        keys.append(("H", _coo_key(op), _coo_key(_adjoint(op))))
-    for lop, jop, _, _ in dis:
-        keys.append(("D", _coo_key(lop) + _coo_key(jop),
-                     _coo_key(_adjoint(jop)) + _coo_key(_adjoint(lop))))
-    waiting: dict = {}  # key -> values of unpaired terms with that key
-    for (kind, own, adj), coeff in zip(keys, coeffs):
-        value, omega = coeff.value, coeff.omega
-        if own == adj and omega == 0 and _conjugates(value, value):
-            continue
-        pending = waiting.get((kind, -omega, adj), [])
-        for n, other in enumerate(pending):
-            if _conjugates(value, other):
-                del pending[n]
-                break
-        else:
-            waiting.setdefault((kind, omega, own), []).append(value)
-    return not any(waiting.values())
-
-
-def _conjugates(a: complex, b: complex) -> bool:
-    return abs(a - b.conjugate()) <= PAIR_RTOL * max(abs(a), abs(b))
-
-
-def _adjoint(triplets):
-    """COO triplets of the conjugate transpose, row-major."""
-    rows, cols, vals = triplets
-    order = np.argsort(cols, kind="stable")
-    return cols[order], rows[order], vals[order].conj()
-
-
-def _coo_key(triplets) -> tuple[bytes, ...]:
-    rows, cols, vals = triplets
-    # + 0 turns a -0.0 part (from conj) into +0.0
-    return rows.tobytes(), cols.tobytes(), (vals + 0).tobytes()
-
-
 def _slot_positions(lines: np.ndarray, n_lines: int):
     """Slot of each entry within its line, for sorted ``lines``, and the
     slot count K (the largest line count)."""
@@ -495,61 +453,53 @@ def _slots(pattern: np.ndarray):
     return index, valid
 
 
-def _slot_product(mats, pattern: np.ndarray, axis: int, shape=None):
-    """``apply(c, x, out, add)``: ``out (+)= M(c) @ x`` (``axis=0``) or
-    ``x @ M(c)`` (``axis=1``) for ``M(c) = sum_m c[m] * mats[m]``, all
-    non-zeros inside ``pattern``.  ``c=None`` reuses the previous call's
-    ``M(c)``.  ``shape`` is the shape of x and out, d x d by default.
+def _slot_product(mats, pattern: np.ndarray, shape=None):
+    """``apply(c, x, out)``: ``out = M(c) @ x`` for ``M(c) = sum_m c[m] *
+    mats[m]``, all non-zeros inside ``pattern``.  ``c=None`` reuses the
+    previous call's ``M(c)``.  ``shape`` is the shape of x and out, d x d
+    by default.
 
-    With K slots per row (column) the product is K row (column) gathers
-    of x when ``K * GATHER_RATIO <= d``; otherwise the slot values are
-    scattered into one dense matrix for a single BLAS product.
+    With K slots per row the product is K row gathers of x when ``K *
+    GATHER_RATIO <= d``; otherwise the slot values are scattered into one
+    dense matrix for a single BLAS product.
     """
-    index, valid = _slots(pattern if axis == 0 else pattern.T)
+    index, valid = _slots(pattern)
     k, dim = index.shape
     if k == 0:
 
-        def empty(c, x, out, add):
-            if not add:
-                out.fill(0)
+        def empty(c, x, out):
+            out.fill(0)
 
         return empty
-    lines = np.broadcast_to(np.arange(dim), index.shape)
-    rows, cols = (lines, index) if axis == 0 else (index, lines)
-    buf = np.empty(shape or (dim, dim), dtype=complex)
+    rows = np.broadcast_to(np.arange(dim), index.shape)
     # padding slots hold 0 in every term, so they add nothing
-    values = np.stack([np.where(valid, mat[rows, cols], 0) for mat in mats])
+    values = np.stack([np.where(valid, mat[rows, index], 0) for mat in mats])
     values = values.reshape(len(mats), -1)
     if k * GATHER_RATIO <= dim:
-        vals = np.empty((k, dim, 1) if axis == 0 else (k, 1, dim), dtype=complex)
+        vals = np.empty((k, dim, 1), dtype=complex)
+        buf = np.empty(shape or (dim, dim), dtype=complex)
 
-        def gather(c, x, out, add):
+        def gather(c, x, out):
             if c is not None:
                 np.matmul(c, values, out=vals.reshape(-1))
             for s in range(k):
                 # take with an out array is unbuffered only in clip mode
-                dest = buf if add or s else out
-                np.take(x, index[s], axis=axis, out=dest, mode="clip")
+                dest = buf if s else out
+                np.take(x, index[s], axis=0, out=dest, mode="clip")
                 dest *= vals[s]
-                if dest is buf:
+                if s:
                     out += buf
 
         return gather
     real = np.flatnonzero(valid)
-    flat = (rows * dim + cols).ravel()[real]
+    flat = (rows * dim + index).ravel()[real]
     values = values[:, real]
     mat = np.zeros((dim, dim), dtype=complex)
 
-    def dense(c, x, out, add):
+    def dense(c, x, out):
         if c is not None:
             mat.reshape(-1)[flat] = c @ values
-        dest = buf if add else out
-        if axis == 0:
-            np.matmul(mat, x, out=dest)
-        else:
-            np.matmul(x, mat, out=dest)
-        if add:
-            out += buf
+        np.matmul(mat, x, out=out)
 
     return dense
 
@@ -560,18 +510,18 @@ def _coo(mat: np.ndarray):
     return rows, cols, mat[rows, cols]
 
 
-def _jump_table(jumps, dim: int, upper: bool = False):
-    """``apply(c, x, out)``: ``out += sum c[k] L x J`` over the ``(L, J,
-    k)`` of ``jumps``, with L and J given as COO triplets (:func:`_coo`).
+def _jump_table(jumps, dim: int):
+    """``apply(c, x, out)``: ``out += U`` for the upper triangle U of ``S
+    = sum c[k] L x J`` over the ``(L, J, k)`` of ``jumps``, diagonal
+    halved, so that ``S = U + U^dagger`` when S is Hermitian.  L and J are
+    given as COO triplets (:func:`_coo`).
 
     Entry ``(i, m)`` of ``L x J`` sums ``L[i, a] J[b, m] x[a, b]``, so each
-    pair of non-zeros ``L[i, a]``, ``J[b, m]`` is a flat record (output
-    ``i*d + m``, input ``a*d + b``, term k, weight ``L[i, a] J[b, m]``);
-    zero weights are dropped.  With ``upper`` only the records of outputs
-    ``i <= m`` are kept and the diagonal weights are halved, so that for a
-    Hermitian sum S the result U gives ``S = U + U^dagger``.  The records
-    are laid out as K slots per output entry that has any, padded with
-    input 0 and weight 0, so a call is one gather of x, one of c, two
+    pair of non-zeros ``L[i, a]``, ``J[b, m]`` with ``i <= m`` is a flat
+    record (output ``i*d + m``, input ``a*d + b``, term k, weight ``L[i,
+    a] J[b, m]``, halved for ``i = m``); zero weights are dropped.  The
+    records are laid out as K slots per output entry that has any, padded
+    with input 0 and weight 0, so a call is one gather of x, one of c, two
     products, one sum over the slots and one scatter-add into the
     C-contiguous ``out``, all in preallocated arrays; ``c=None`` reuses
     the previous call's ``c``.  ``apply.records`` counts the records.
@@ -579,9 +529,8 @@ def _jump_table(jumps, dim: int, upper: bool = False):
     outs, ins, terms, weights = [], [], [], []
     for (i, a, lval), (b, m, jval), k in jumps:
         weight = np.multiply.outer(lval, jval)
-        if upper:
-            weight = np.where(np.less_equal.outer(i, m), weight, 0)
-            weight[np.equal.outer(i, m)] *= 0.5
+        weight = np.where(np.less_equal.outer(i, m), weight, 0)
+        weight[np.equal.outer(i, m)] *= 0.5
         weight = weight.ravel()
         keep = np.flatnonzero(weight)
         outs.append(np.add.outer(i * dim, m).ravel()[keep])
@@ -654,26 +603,24 @@ def integrate(
     state is not finite, or whose ``|tr rho|`` drifted by more than
     {TRACE_TOL:g}, raises :class:`NumericalGuardError`.
 
-    A unitary run takes the vector path: when the realized generator has
-    no dissipators, every coefficient is time-free and the terms pair up
-    under conjugation (so H(t) is Hermitian), and rho0 is exactly
-    Hermitian and positive semidefinite, rho0 is split as ``Psi Psi^dagger``
-    (pivoted Cholesky, rank r) and RK4 integrates ``Psi' = -i H(t) Psi``
-    on the d x r block.  Each sample stores ``Psi Psi^dagger`` made exactly
-    Hermitian.  RK4 on vectors loses norm (about theta^6/72 a step), so
-    the vector path runs one sample interval at a time: an interval that
-    lost more than ``TRACE_TOL / 2 / (n_samples - 1)`` of ``sum |psi|^2``
-    is run again at twice the steps, and the finer stride is kept; a loss
-    that does not shrink as the step halves raises
+    ``rho0`` must be exactly Hermitian, else ``ValueError``; so must the
+    generator be (see :func:`_realize`).  A run without dissipators from a
+    positive semidefinite rho0 takes the vector path: rho0 is split as
+    ``Psi Psi^dagger`` (pivoted Cholesky, rank r) and RK4 integrates ``Psi'
+    = -i H(t) Psi`` on the d x r block.  Each sample stores ``Psi
+    Psi^dagger`` made exactly Hermitian.  RK4 on vectors loses norm (about
+    theta^6/72 a step), so the vector path runs one sample interval at a
+    time: an interval that lost more than ``TRACE_TOL / 2 / (n_samples -
+    1)`` of ``sum |psi|^2`` is run again at twice the steps, and the finer
+    stride is kept; a loss that does not shrink as the step halves raises
     :class:`NumericalGuardError`.  A norm that rose or is not finite marks
-    an unstable step, left to the guard above.  Any other input takes the
-    density-matrix paths of :func:`_generator`.
+    an unstable step, left to the guard above.  Any other run takes the
+    Hermitian-half right-hand side of :func:`_generator`.
 
-    ``Trajectory.meta`` holds ``rhs`` (``"vector"``, ``"hermitian"`` or
-    ``"general"``), ``steps`` (RK4 steps taken, repeated intervals
-    included), the final ``dt`` and ``stride`` (steps per sample
-    interval), ``jump_records``, ``kind`` and, on the vector path,
-    ``rank`` (r).
+    ``Trajectory.meta`` holds ``rhs`` (``"vector"`` or ``"hermitian"``),
+    ``steps`` (RK4 steps taken, repeated intervals included), the final
+    ``dt`` and ``stride`` (steps per sample interval), ``jump_records``,
+    ``kind`` and, on the vector path, ``rank`` (r).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -692,12 +639,11 @@ def integrate(
         raise ValueError(
             f"initial state is {rho0.shape}, model dimension is {dim}"
         )
-    hermitian = np.array_equal(rho0, rho0.conj().T)
-    psi = None
-    if hermitian and not dis and _conjugate_closed(ham, ()):
-        psi = _split(rho0)
+    if not np.array_equal(rho0, rho0.conj().T):
+        raise ValueError("initial state is not exactly Hermitian")
+    psi = None if dis else _split(rho0)
     if psi is None:
-        rhs = _generator(ham, dis, dim, hermitian=hermitian)
+        rhs = _generator(ham, dis, dim)
         state = np.array(rho0, dtype=complex)
     else:
         rhs = _generator(ham, dis, dim, vectors=psi.shape[1])
@@ -949,8 +895,10 @@ def rate_decomposition(
     At each interior sample the instantaneous Hamiltonian is diagonalized;
     the inertial rate follows the ground state's first-order response to
     dH/dt (centered difference), the dynamical rate is the ground-state
-    expectation of the dissipator action.  Samples with a (near-)degenerate
-    ground level (:data:`GAP_TOL`) are masked in the returned flags.
+    expectation of the dissipator action, applied by the Hermitian-half
+    right-hand side of :func:`integrate`, so each state is taken as
+    Hermitian.  Samples with a (near-)degenerate ground level
+    (:data:`GAP_TOL`) are masked in the returned flags.
     """
     ham, dis, _, dim = _realize(eff, assignment)
     dissipate = _generator((), dis, dim)

@@ -9,6 +9,7 @@ import pytest
 from stcg import cli
 from stcg.cli import main
 from stcg.contraction import UnresolvedSingularityError
+from stcg.presets import get_preset
 
 JC_DOC = {
     "name": "jc",
@@ -241,11 +242,106 @@ class TestExitCodes:
         common = ["simulate", "--effective", str(eff), "--initial",
                   "fock(0)*e", "--t1", "0.1ns", "--samples", "3"]
         assert main(
-            [*common, "--params", "g=2pi*40MHz,w=2pi*1.1GHz,tau=0.3ns"]
+            [*common, "--params", "g=2pi*40MHz,w=2pi*1.1GHz"]
         ) == 0
         capsys.readouterr()
         assert main([*common, "--params", "gg=2GHz"]) == 3
         assert "declares no symbol(s) ['gg']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--tau", "0.5ns"], ["--params", "tau=0.5ns"]],
+        ids=["tau", "params"],
+    )
+    def test_validation_error_on_tau_of_numeric_tau_effective_model(
+        self, flag, capsys
+    ):
+        # derived at tau = 0.2ns: its coefficients hold tau as numbers
+        code = main(
+            ["simulate", "--effective", str(BENCH_DATA / "rabi_order1.json"),
+             "--initial", "coherent(1)*e", "--t1", "1ns", "--samples", "5",
+             *flag]
+        )
+        assert code == 3
+        assert "tau is already numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("ramps", 0, "duration"), 5),
+            (("ramps", 0, "symbol"), 3),
+            (("regulator",), 7),
+        ],
+        ids=["duration", "symbol", "regulator"],
+    )
+    def test_validation_error_on_ramp_field_that_is_not_a_string(
+        self, path, value, capsys
+    ):
+        doc = get_preset("parametron")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code = main(["derive", "--model", json.dumps(doc), "--order", "1"])
+        assert code == 3
+        assert f'"{path[-1]}" must be a string, got {value}' in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            (("terms", 0, "coupling"), 'model term has no "coupling" field'),
+            (("terms", 1, "frequency"), 'model term has no "frequency"'),
+            (("terms", 2, "operator"), 'model term has no "operator"'),
+            (("modes", 0, "name"), 'model mode has no "name" field'),
+            (("modes", 0, "kind"), 'model mode has no "kind" field'),
+            (("ramps", 1, "duration"), 'model ramp has no "duration" field'),
+        ],
+        ids=["coupling", "frequency", "operator", "name", "kind", "duration"],
+    )
+    def test_validation_error_on_missing_model_field(
+        self, path, message, capsys
+    ):
+        doc = get_preset("parametron")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        code = main(["derive", "--model", json.dumps(doc), "--order", "1"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path,what",
+        [
+            (("modes",), "effective model"),
+            (("hamiltonian",), "effective model"),
+            (("dissipators",), "effective model"),
+            (("modes", 0, "kind"), "effective model mode"),
+            (("hamiltonian", 0, "frequency"), "effective model term"),
+            (("hamiltonian", 0, "operator"), "effective model term"),
+            (("hamiltonian", 0, "coeff"), "effective model term"),
+            (("dissipators", 0, "L"), "effective model term"),
+        ],
+        ids=["modes", "hamiltonian", "dissipators", "mode-kind",
+             "term-frequency", "term-operator", "term-coeff", "term-L"],
+    )
+    def test_validation_error_on_missing_effective_field(
+        self, path, what, tmp_path, capsys
+    ):
+        doc = json.loads((BENCH_DATA / "rabi_order3.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        eff = tmp_path / "eff.json"
+        eff.write_text(json.dumps(doc))
+        code = main(
+            ["simulate", "--effective", str(eff), "--initial",
+             "coherent(1)*e", "--t1", "0.1ns", "--samples", "3"]
+        )
+        assert code == 3
+        assert f'{what} has no "{path[-1]}" field' in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name,path,value",

@@ -96,9 +96,24 @@ class TestLoadModel:
         with pytest.raises(ValueError, match="w_typo"):
             load_model(doc)
 
-    def test_non_hermitian_rejected(self):
-        doc = dict(RABI_DOC, terms=RABI_DOC["terms"][:1])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            RABI_DOC["terms"][:1],
+            # the partner's coupling is not the conjugate
+            [RABI_DOC["terms"][0], dict(RABI_DOC["terms"][1], coupling="g")],
+            # a Hermitian operator off zero frequency
+            [{"coupling": "g", "frequency": "wc", "operator": "a'*a"}],
+        ],
+        ids=["unpaired", "coupling", "frequency"],
+    )
+    def test_non_hermitian_rejected(self, terms):
+        doc = dict(RABI_DOC, terms=terms)
+        with pytest.raises(
+            ValueError,
+            match="^model 'rabi' not Hermitian: no conjugate partner for "
+            "term at frequency",
+        ):
             load_model(doc).check_hermitian()
 
     def test_numeric_assignment_rejects_undeclared_override(self):

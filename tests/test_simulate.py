@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -11,11 +12,12 @@ from stcg.model import (
     DissipatorTermSpec,
     EffectiveModel,
     HamiltonianTermSpec,
+    assemble,
     load_effective,
     load_model,
 )
 from stcg.operators import ModeSpec, parse_operator
-from stcg.presets import get_preset
+from stcg.presets import duffing, get_preset
 import stcg.simulate as simulate
 from stcg.simulate import (
     GATHER_RATIO,
@@ -37,6 +39,7 @@ from stcg.symbols import TIME, FreqExpr
 
 JC_MODES = (ModeSpec("a", "bosonic", 6), ModeSpec("q", "two_level"))
 BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 
 def jc_model(g="g"):
@@ -98,10 +101,10 @@ def lindblad_model(modes, hamiltonian, dissipators):
 def generator_case(name):
     """Models on each side of the gather/dense rule, with operator sums
     of two or more non-zeros per row, complex rates and a coefficient
-    linear in ``t``."""
-    g, w = sp.Symbol("g"), sp.Symbol("w")
+    linear in ``t``; every term has its conjugate partner."""
+    g = sp.Symbol("g")
     if name == "narrow":
-        modes = (ModeSpec("a", "bosonic", 40), ModeSpec("q", "two_level"))
+        modes = (ModeSpec("a", "bosonic", 50), ModeSpec("q", "two_level"))
         x = operator_sum(modes, "a", "a'")
         hamiltonian = [
             (g * TIME, "0", x),
@@ -109,6 +112,7 @@ def generator_case(name):
         ]
         dissipators = [
             (0.4 + 0.3j, "w", parse_operator("a", modes), x),
+            (0.4 - 0.3j, "-w", x, parse_operator("a'", modes)),
             (0.2, "0", parse_operator("sm", modes), parse_operator("sp", modes)),
         ]
     else:
@@ -120,7 +124,10 @@ def generator_case(name):
         ]
         dissipators = [
             (0.4 - 0.7j, "w", x, parse_operator("a'^2*sp", modes)),
+            (0.4 + 0.7j, "-w", parse_operator("a^2*sm", modes), x),
             (0.25, "-w", operator_sum(modes, "a", "sm"),
+             operator_sum(modes, "a'", "sp")),
+            (0.25, "w", operator_sum(modes, "a", "sm"),
              operator_sum(modes, "a'", "sp")),
         ]
     return (
@@ -172,16 +179,54 @@ def coefficient_at(expr, freq, assignment, t):
     return complex(expr.subs(values)) * cmath.exp(-1j * omega * t)
 
 
+def dense_rk4(eff, assignment, rho0, n_samples, stride, dt):
+    """Fixed-step RK4 of :func:`dense_rhs` from t = 0, ``stride`` steps of
+    ``dt`` per sample: the reference for :func:`integrate`.
+
+    A 1-d ``rho0`` is a state vector psi, integrated as ``psi' = -i H(t)
+    psi`` with the dense H of :func:`dense_hamiltonian`; the samples are
+    then ``psi psi^dagger``, as on the vector path."""
+    if rho0.ndim == 1:
+        def f(t, psi):
+            return -1j * dense_hamiltonian(eff, assignment, t) @ psi
+
+        def sample(psi):
+            return np.outer(psi, psi.conj())
+    else:
+        def f(t, rho):
+            return dense_rhs(eff, assignment, t, rho)
+
+        def sample(rho):
+            return rho
+    y = rho0.astype(complex)
+    expected = [sample(y)]
+    for step in range(stride * (n_samples - 1)):
+        t = step * dt
+        k1 = f(t, y)
+        k2 = f(t + dt / 2, y + dt / 2 * k1)
+        k3 = f(t + dt / 2, y + dt / 2 * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (step + 1) % stride == 0:
+            expected.append(sample(y))
+    return np.array(expected)
+
+
+def dense_hamiltonian(eff, assignment, t):
+    """H(t) as one dense matrix, summed term by term."""
+    return sum(
+        coefficient_at(term.coeff, term.freq, assignment, t)
+        * term.op.matrix(assignment)
+        for term in eff.hamiltonian
+    )
+
+
 def dense_rhs(eff, assignment, t, rho, hamiltonian=True):
     """``-i[H(t), rho] + sum_j r_j(t) (L rho J - {JL, rho}/2)`` with dense
     matrices, straight from the master equation."""
     out = np.zeros_like(rho)
     if hamiltonian:
-        h = np.zeros_like(rho)
-        for term in eff.hamiltonian:
-            h += coefficient_at(term.coeff, term.freq, assignment, t) * (
-                term.op.matrix(assignment)
-            )
+        h = dense_hamiltonian(eff, assignment, t)
         out += -1j * (h @ rho - rho @ h)
     for term in eff.dissipators:
         rate = coefficient_at(term.rate, term.freq, assignment, t)
@@ -215,9 +260,19 @@ def random_matrix(dim, seed):
 
 
 def random_density(dim, seed):
+    """A random full-rank density matrix, exactly Hermitian."""
     x = random_matrix(dim, seed)
     rho = x @ x.conj().T
-    return rho / np.trace(rho)
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def upper_half(mat):
+    """The upper triangle of ``mat`` with its diagonal halved: what the
+    jump table adds for the product ``mat``."""
+    out = np.triu(mat)
+    out[np.diag_indices(len(mat))] *= 0.5
+    return out
 
 
 class TestInitialStates:
@@ -395,20 +450,10 @@ class TestIntegrate:
         rho0 = build_initial(modes, "coherent(0.8)*e")
         traj = integrate(eff, rho0, (0.0, 0.6), assignment, dt=0.02,
                          n_samples=7)
-        dt, stride = traj.meta["dt"], traj.meta["stride"]
-        rho = rho0.astype(complex)
-        expected = [rho]
-        for step in range(stride * (len(traj.times) - 1)):
-            t = step * dt
-            f = lambda t, r: dense_rhs(eff, assignment, t, r)  # noqa: E731
-            k1 = f(t, rho)
-            k2 = f(t + dt / 2, rho + dt / 2 * k1)
-            k3 = f(t + dt / 2, rho + dt / 2 * k2)
-            k4 = f(t + dt, rho + dt * k3)
-            rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (step + 1) % stride == 0:
-                expected.append(rho)
-        assert np.max(np.abs(traj.states - np.array(expected))) < 1e-12
+        assert traj.meta["rhs"] == "hermitian"
+        expected = dense_rk4(eff, assignment, rho0, len(traj.times),
+                             traj.meta["stride"], traj.meta["dt"])
+        assert np.max(np.abs(traj.states - expected)) < 1e-12
 
 
 class TestGenerator:
@@ -421,7 +466,7 @@ class TestGenerator:
         assert min(rows, cols) >= 2
         ham, dis, _, dim = _realize(eff, assignment)
         rhs = _generator(ham, dis, dim)
-        rho = random_matrix(dim, 5)
+        rho = random_density(dim, 5)
         out = np.empty_like(rho)
         for t in (0.0, 0.37, 1.9):
             ref = dense_rhs(eff, assignment, t, rho)
@@ -453,36 +498,42 @@ class TestGenerator:
         total = c[0] * mats[0] + c[1] * mats[1]
         x = random_matrix(dim, 2)
         left = np.empty_like(x)
-        _slot_product(mats, pattern, axis=0)(c, x, left, add=False)
-        right = np.ones_like(x)
-        _slot_product(mats, pattern, axis=1)(c, x, right, add=True)
+        _slot_product(mats, pattern)(c, x, left)
         assert np.allclose(left, total @ x, rtol=0, atol=1e-12)
-        assert np.allclose(right, 1 + x @ total, rtol=0, atol=1e-12)
-        assert not left[1].any() and np.all(right[:, 1] == 1)
-
+        assert not left[1].any()
 
     def test_jump_table_mixed_with_general_terms(self):
         # monomial jumps (a^3 empties the top three rows of its product)
-        # beside operator-sum ones, with complex and time-dependent rates
+        # beside operator-sum ones, with complex and time-dependent rates,
+        # each with its conjugate partner
         g = sp.Symbol("g")
         modes = (ModeSpec("a", "bosonic", 7), ModeSpec("q", "two_level"))
         op = lambda text: parse_operator(text, modes)  # noqa: E731
         x = operator_sum(modes, "a", "a'")
         eff = lindblad_model(
             modes,
-            [(g, "0", x), (0.6 * TIME, "w", op("a'*a*sz"))],
+            [
+                (g, "0", x),
+                (0.6 * TIME, "w", op("a'*a*sz")),
+                (0.6 * TIME, "-w", op("a'*a*sz")),
+            ],
             [
                 ((0.4 + 0.3j) * (1 + g * TIME), "w", op("a^3"), op("a'^2")),
+                ((0.4 - 0.3j) * (1 + g * TIME), "-w", op("a^2"), op("a'^3")),
                 (0.2 - 0.1j, "-w", op("a'*sm"), op("a*sp")),
+                (0.2 + 0.1j, "w", op("a'*sm"), op("a*sp")),
                 (0.7 * TIME, "0", op("sz"), op("a'*a")),
+                (0.7 * TIME, "0", op("a'*a"), op("sz")),
                 (0.3, "w", x, op("a^2*sp")),
+                (0.3, "-w", op("a'^2*sm"), x),
                 (0.25j, "0", op("a"), operator_sum(modes, "a'", "sp")),
+                (-0.25j, "0", operator_sum(modes, "a", "sm"), op("a'")),
             ],
         )
         assignment = {"g": 1.3, "w": 2.9}
         ham, dis, _, dim = _realize(eff, assignment)
         rhs = _generator(ham, dis, dim)
-        rho = random_matrix(dim, 7)
+        rho = random_density(dim, 7)
         out = np.empty_like(rho)
         for t in (0.0, 0.37, 1.9):
             ref = dense_rhs(eff, assignment, t, rho)
@@ -496,8 +547,8 @@ class TestGenerator:
         out = np.zeros_like(rho)
         table(np.array([1.0 + 0j]), rho, out)
         a3 = op("a^3").matrix()
-        assert np.allclose(out, a3 @ rho @ op("a'^2").matrix(), rtol=0,
-                           atol=1e-12)
+        assert np.allclose(out, upper_half(a3 @ rho @ op("a'^2").matrix()),
+                           rtol=0, atol=1e-12)
         empty = ~(a3 != 0).any(axis=1)
         assert empty.sum() == 6 and not out[empty].any()
 
@@ -518,7 +569,8 @@ class TestGenerator:
         c = np.array([0.3 - 1.2j, 2.0 + 0.5j, -0.7 + 0.1j])
         out = np.full_like(rho, 1.0)
         _jump_table(jumps, dim)(c, rho, out)
-        ref = 1.0 + sum(ck * (mat @ rho) for ck, mat in zip(c, mats))
+        total = sum(ck * (mat @ rho) for ck, mat in zip(c, mats))
+        ref = 1.0 + upper_half(total)
         assert np.allclose(out, ref, rtol=0, atol=1e-12)
 
     def test_jump_table_without_records_is_noop(self):
@@ -539,7 +591,7 @@ class TestHermitianHalf:
             closed_model()
         )
         ham, dis, _, dim = _realize(eff, assignment)
-        rhs = _generator(ham, dis, dim, hermitian=True)
+        rhs = _generator(ham, dis, dim)
         assert rhs.branch == "hermitian"
         rho = random_density(dim, 9)
         out = np.empty_like(rho)
@@ -552,61 +604,83 @@ class TestHermitianHalf:
     def test_upper_table_keeps_outputs_on_and_above_the_diagonal(self):
         eff, assignment = closed_model()
         ham, dis, _, dim = _realize(eff, assignment)
-        half = _generator(ham, dis, dim, hermitian=True)
-        full = _generator(ham, dis, dim)
-        assert full.branch == "general"
-        upper = sum(
-            np.count_nonzero(np.less_equal.outer(i, m) & (np.multiply.outer(
-                lval, jval) != 0))
+        half = _generator(ham, dis, dim)
+        products = [
+            (np.less_equal.outer(i, m), np.multiply.outer(lval, jval) != 0)
             for (i, _, lval), (_, m, jval), _, _ in dis
-        )
-        assert half.jump_records == upper < full.jump_records
+        ]
+        upper = sum(np.count_nonzero(keep & nonzero)
+                    for keep, nonzero in products)
+        full = sum(np.count_nonzero(nonzero) for _, nonzero in products)
+        assert half.jump_records == upper < full
 
-    def test_unpaired_term_is_general(self):
-        # generator_case has a ``w`` rate without its ``-w`` partner
-        eff, assignment = generator_case("wide")
-        ham, dis, _, dim = _realize(eff, assignment)
-        assert _generator(ham, dis, dim, hermitian=True).branch == "general"
+    def test_unpaired_term_is_rejected(self):
         eff, assignment = closed_model()
-        ham, dis, _, dim = _realize(eff, assignment)
-        assert _generator(ham, dis[1:], dim, hermitian=True).branch == (
-            "general"
-        )
+        for unpaired in (
+            dataclasses.replace(eff, dissipators=eff.dissipators[1:]),
+            dataclasses.replace(eff, hamiltonian=eff.hamiltonian[1:]),
+        ):
+            with pytest.raises(ValueError, match="preserve Hermiticity"):
+                _realize(unpaired, assignment)
 
-    def test_self_adjoint_term_off_zero_frequency_is_general(self):
+    def test_self_adjoint_term_off_zero_frequency_is_rejected(self):
         # sz is its own adjoint, but 1.1 * exp(-i w t) * sz is not Hermitian
-        eff, assignment = closed_model([(1.1, "w", parse_operator(
-            "sz", JC_MODES))])
+        sz = parse_operator("sz", JC_MODES)
+        eff, assignment = closed_model([(1.1, "w", sz)])
+        with pytest.raises(ValueError, match="frequency w with operator"):
+            _realize(eff, assignment)
+        eff, assignment = closed_model([(1.1, "w", sz), (1.1, "-w", sz)])
         ham, dis, _, dim = _realize(eff, assignment)
-        assert _generator(ham, dis, dim, hermitian=True).branch == "general"
-        eff, assignment = closed_model([(1.1, "w", parse_operator(
-            "sz", JC_MODES)), (1.1, "-w", parse_operator("sz", JC_MODES))])
-        ham, dis, _, dim = _realize(eff, assignment)
-        assert _generator(ham, dis, dim, hermitian=True).branch == "hermitian"
+        assert _generator(ham, dis, dim).branch == "hermitian"
 
-    def test_conjugate_value_mismatch_is_general(self):
+    @pytest.mark.parametrize(
+        "mismatch, paired", [(1e-9, False), (1e-14, True)]
+    )
+    def test_conjugate_value_mismatch(self, mismatch, paired):
+        # the partner's value must agree to PAIR_RTOL relative
         eff, assignment = closed_model()
-        ham, dis, _, dim = _realize(eff, assignment)
-        coeff = ham[0][1]
-        ham[0] = (ham[0][0], simulate._Coefficient(
-            coeff.value * (1 + 1e-9), coeff.omega))
-        assert _generator(ham, dis, dim, hermitian=True).branch == "general"
+        first = eff.hamiltonian[0]
+        eff = dataclasses.replace(eff, hamiltonian=(
+            dataclasses.replace(first, coeff=first.coeff * (1 + mismatch)),
+            *eff.hamiltonian[1:],
+        ))
+        if paired:
+            _realize(eff, assignment)
+        else:
+            with pytest.raises(ValueError, match="preserve Hermiticity"):
+                _realize(eff, assignment)
 
-    def test_time_dependent_coefficient_is_general(self):
-        eff, assignment = closed_model([(0.1 * TIME, "0", parse_operator(
-            "sz", JC_MODES))])
+    def test_time_dependent_coefficients_pair_symbolically(self):
+        op = lambda text: parse_operator(text, JC_MODES)  # noqa: E731
+        eff, assignment = closed_model([
+            (0.1 * TIME, "0", op("sz")),
+            ((0.2 + 0.1j) * TIME**2, "w", op("a'*sm")),
+            ((0.2 - 0.1j) * TIME**2, "-w", op("a*sp")),
+        ])
         rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
         traj = integrate(eff, rho0, (0.0, 0.2), assignment, dt=0.01,
                          n_samples=3)
-        assert traj.meta["rhs"] == "general"
+        assert traj.meta["rhs"] == "hermitian"
+        expected = dense_rk4(eff, assignment, rho0, 3, traj.meta["stride"],
+                             traj.meta["dt"])
+        assert np.max(np.abs(traj.states - expected)) < 1e-12
+        # a timed term that is not real, and a timed term whose partner
+        # is time-free
+        for extra in (
+            [(0.1j * TIME, "0", op("sz"))],
+            [((0.2 + 0.1j) * TIME, "w", op("a'*sm")),
+             (0.2 - 0.1j, "-w", op("a*sp"))],
+        ):
+            eff, assignment = closed_model(extra)
+            with pytest.raises(ValueError, match="preserve Hermiticity"):
+                _realize(eff, assignment)
 
-    def test_non_hermitian_state_is_general(self):
+    def test_non_hermitian_state_is_rejected(self):
         eff, assignment = closed_model()
         rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
         rho0[0, 1] += 1e-9j
-        traj = integrate(eff, rho0, (0.0, 0.2), assignment, dt=0.01,
-                         n_samples=3)
-        assert traj.meta["rhs"] == "general"
+        with pytest.raises(ValueError, match="not exactly Hermitian"):
+            integrate(eff, rho0, (0.0, 0.2), assignment, dt=0.01, n_samples=3)
 
     def test_states_exactly_hermitian(self):
         eff, assignment = closed_model()
@@ -618,19 +692,15 @@ class TestHermitianHalf:
         for state in traj.states:
             assert np.array_equal(state, state.conj().T)
 
-    def test_half_and_general_trajectories_agree(self, monkeypatch):
+    def test_order3_trajectory_matches_dense_reference(self):
         eff, assignment = rabi_order3(6)
         rho0 = build_initial(eff.modes, "coherent(1.2)*e")
-        span = (0.0, 0.3e-9)
-        half = integrate(eff, rho0, span, assignment, n_samples=11)
-        monkeypatch.setattr(simulate, "_conjugate_closed", lambda *_: False)
-        general = integrate(eff, rho0, span, assignment, n_samples=11)
-        assert (half.meta["rhs"], general.meta["rhs"]) == (
-            "hermitian", "general"
-        )
-        assert half.meta["jump_records"] < general.meta["jump_records"]
-        scale = np.max(np.abs(general.states))
-        assert np.max(np.abs(half.states - general.states)) <= 1e-12 * scale
+        traj = integrate(eff, rho0, (0.0, 0.04e-9), assignment, n_samples=3)
+        assert traj.meta["rhs"] == "hermitian"
+        expected = dense_rk4(eff, assignment, rho0, 3, traj.meta["stride"],
+                             traj.meta["dt"])
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(traj.states - expected)) <= 1e-12 * scale
 
 
 def rabi_exact(truncation):
@@ -639,6 +709,13 @@ def rabi_exact(truncation):
     doc["modes"][0]["truncation"] = truncation
     model = load_model(doc)
     return model, model.numeric_assignment()
+
+
+def as_effective(model):
+    """The Hamiltonian of ``model`` as an effective model, for
+    :func:`dense_rhs`."""
+    return EffectiveModel(order=1, modes=model.modes,
+                          hamiltonian=model.terms, dissipators=())
 
 
 def mixed_state(modes, weights, specs):
@@ -651,25 +728,47 @@ class TestVectorPath:
     """Unitary runs integrate ``Psi' = -i H(t) Psi`` for ``rho0 = Psi
     Psi^dagger``."""
 
-    def test_agrees_with_density_path_and_is_closer_to_fine_step(
-        self, monkeypatch
-    ):
+    def test_agrees_with_density_path_and_is_closer_to_fine_step(self):
         # a few photons: at |alpha| <~ 2 the two paths' errors are alike
         model, assignment = rabi_exact(30)
         rho0 = build_initial(model.modes, "coherent(3.0)*e")
         span = (0.0, 0.5e-9)
         vector = integrate(model, rho0, span, assignment, n_samples=11)
-        monkeypatch.setattr(simulate, "_conjugate_closed", lambda *_: False)
-        rho = integrate(model, rho0, span, assignment, n_samples=11)
-        fine = integrate(model, rho0, span, assignment,
-                         dt=rho.meta["dt"] / 16, n_samples=11)
-        assert (vector.meta["rhs"], rho.meta["rhs"]) == ("vector", "general")
-        assert vector.meta["rank"] == 1
-        assert vector.meta["stride"] == rho.meta["stride"]
-        err_rho = np.max(np.abs(rho.states - fine.states))
+        dt, stride = vector.meta["dt"], vector.meta["stride"]
+        # no interval repeated: the density path's step
+        assert vector.meta["steps"] == stride * 10
+        rho = dense_rk4(as_effective(model), assignment, rho0, 11, stride, dt)
+        fine = integrate(model, rho0, span, assignment, dt=dt / 16,
+                         n_samples=11)
+        assert (vector.meta["rhs"], vector.meta["rank"]) == ("vector", 1)
+        err_rho = np.max(np.abs(rho - fine.states))
         err_vector = np.max(np.abs(vector.states - fine.states))
         assert 0 < err_vector < err_rho
-        assert np.max(np.abs(vector.states - rho.states)) <= 2 * err_rho
+        assert np.max(np.abs(vector.states - rho)) <= 2 * err_rho
+
+    def test_time_dependent_hamiltonian_converges_to_density_path(self):
+        op = lambda text: parse_operator(text, JC_MODES)  # noqa: E731
+        timed = lindblad_model(
+            JC_MODES,
+            [(0.8 * TIME, "0", op("sz")),
+             (1.1, "0", op("a'*a")),
+             ((0.6 + 0.2j) * TIME, "w", op("a'*sm")),
+             ((0.6 - 0.2j) * TIME, "-w", op("a*sp"))],
+            [],
+        )
+        assignment = {"w": 2.9}
+        rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
+        gaps = []
+        for dt in (0.01, 0.0025):
+            vector = integrate(timed, rho0, (0.0, 0.5), assignment, dt=dt,
+                               n_samples=2)
+            assert (vector.meta["rhs"], vector.meta["rank"]) == ("vector", 1)
+            assert vector.meta["dt"] == dt
+            rho = dense_rk4(timed, assignment, rho0, 2, vector.meta["stride"],
+                            dt)
+            gaps.append(np.max(np.abs(vector.states - rho)))
+        # two fourth-order methods: the gap falls about 4^4 = 256-fold
+        assert gaps[1] < 1e-10 and gaps[0] > 100 * gaps[1]
 
     def test_mixed_state_has_rank_two(self):
         model = jc_model()
@@ -698,14 +797,6 @@ class TestVectorPath:
         traj = integrate(eff, rho0, (0.0, 0.2), assignment, dt=0.01,
                          n_samples=3)
         assert traj.meta["rhs"] == "hermitian" and "rank" not in traj.meta
-        timed = lindblad_model(
-            JC_MODES,
-            [(0.1 * TIME, "0", parse_operator("sz", JC_MODES)),
-             (1.1, "0", parse_operator("a'*a", JC_MODES))],
-            [],
-        )
-        traj = integrate(timed, rho0, (0.0, 0.2), {}, dt=0.01, n_samples=3)
-        assert traj.meta["rhs"] == "general" and "rank" not in traj.meta
 
     def test_coarse_step_is_refined_within_trace_tolerance(self):
         model = jc_model()
@@ -761,21 +852,55 @@ class TestVectorPath:
         eff, assignment = closed_model()
         half = integrate(eff, rho0, (0.0, 1.0), assignment, dt=0.01,
                          n_samples=6)
-        bad = rho0.copy()
-        bad[0, 1] += 1e-9j
-        general = integrate(eff, bad, (0.0, 1.0), assignment, dt=0.01,
-                            n_samples=6)
-        for traj in (vector, half, general):
+        for traj in (vector, half):
             assert traj.meta["stride"] == 20
             assert traj.meta["steps"] == 20 * 5
-        assert [t.meta["rhs"] for t in (vector, half, general)] == [
-            "vector", "hermitian", "general"
+        assert [t.meta["rhs"] for t in (vector, half)] == [
+            "vector", "hermitian"
         ]
         assert vector.meta["rank"] == 1
 
 
+class TestDerivedModels:
+    """Derived models whose conjugate operators' matrices are not each
+    other's adjoints to the last bit, and a ramped model with
+    time-dependent coefficients, all take the paired right-hand sides."""
+
+    @pytest.mark.parametrize("order, path", [(1, "vector"), (2, "hermitian")])
+    def test_duffing_matches_dense_rk4(self, order, path):
+        model = load_model(duffing(20))
+        assignment = model.numeric_assignment()
+        eff = assemble(model, order)
+        # column 0 of |psi><psi| is psi times the real <0|psi>
+        psi0 = build_initial(model.modes, "coherent(1.5)")[:, 0]
+        psi0 = psi0 / np.linalg.norm(psi0)
+        rho0 = np.outer(psi0, psi0.conj())
+        traj = integrate(eff, rho0, (0.0, 0.01e-9), assignment, n_samples=2)
+        assert traj.meta["rhs"] == path
+        stride, dt = traj.meta["stride"], traj.meta["dt"]
+        assert traj.meta["steps"] == stride
+        start = psi0 if path == "vector" else rho0
+        expected = dense_rk4(eff, assignment, start, 2, stride, dt)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(traj.states - expected)) <= 1e-12 * scale
+
+    def test_stored_ramped_model_takes_vector_path(self):
+        eff = load_effective(
+            (TEST_DATA / "parametron_order1.json").read_text()
+        )
+        assert any(TIME in t.coeff.free_symbols for t in eff.hamiltonian)
+        rho0 = build_initial(eff.modes, "coherent(1)")
+        span = (0.0, 0.5e-9)
+        traj = integrate(eff, rho0, span, eff.params, n_samples=11)
+        assert (traj.meta["rhs"], traj.meta["rank"]) == ("vector", 1)
+        fine = integrate(eff, rho0, span, eff.params,
+                         dt=traj.meta["dt"] / 16, n_samples=11)
+        assert np.max(np.abs(traj.states - fine.states)) < 1e-9
+
+
 class TestOperatorProducts:
-    """One jump term ``L x 1`` or ``1 x J`` through the jump table."""
+    """One jump term ``L x 1`` or ``1 x J`` through the jump table, which
+    adds the upper triangle of the product, diagonal halved."""
 
     @staticmethod
     def products(mat, x):
@@ -795,8 +920,8 @@ class TestOperatorProducts:
         rng = np.random.default_rng(3)
         x = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
         left, right = self.products(mat, x)
-        assert np.array_equal(left, mat @ x)
-        assert np.array_equal(right, x @ mat)
+        assert np.array_equal(left, upper_half(mat @ x))
+        assert np.array_equal(right, upper_half(x @ mat))
 
     def test_operator_sum_matches_dense_product(self):
         mat = (
@@ -806,8 +931,8 @@ class TestOperatorProducts:
         rng = np.random.default_rng(4)
         x = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
         left, right = self.products(mat, x)
-        assert np.allclose(left, mat @ x, rtol=0, atol=1e-12)
-        assert np.allclose(right, x @ mat, rtol=0, atol=1e-12)
+        assert np.allclose(left, upper_half(mat @ x), rtol=0, atol=1e-12)
+        assert np.allclose(right, upper_half(x @ mat), rtol=0, atol=1e-12)
 
 
 class TestCoarseGrain:
