@@ -112,7 +112,7 @@ def _check_overrides(overrides, eff):
     if "tau" in overrides and "tau" not in used:
         raise ValueError(
             "tau is already numeric in this effective model (no coefficient "
-            "uses it), so --tau and --params tau=... cannot change it"
+            "uses it), so --params tau=... cannot change it"
         )
     known = set(eff.params) | used
     known |= {name for t in terms for name in t.freq.symbols}
@@ -164,13 +164,11 @@ def _cmd_simulate(args) -> int:
     if args.effective:
         with open(args.effective) as fh:
             generator = load_effective(fh.read())
-        if args.tau is not None:
-            overrides = {"tau": parse_quantity(args.tau), **overrides}
         _check_overrides(overrides, generator)
         assignment = {**generator.params, **overrides}
         modes = generator.modes
     else:
-        model = _with_tau(_load_model_arg(args), args.tau)
+        model = _load_model_arg(args)
         assignment = model.numeric_assignment(overrides)
         generator = model
         modes = model.modes
@@ -275,9 +273,6 @@ def _add_model_source(parser: argparse.ArgumentParser, effective=False):
         "--params",
         help="comma-separated symbol overrides, e.g. 'g=2pi*0.4GHz,tau=0.2ns'",
     )
-    parser.add_argument(
-        "--tau", help="filter width override (time quantity; 0 disables)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,6 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         "derive", help="assemble the effective generator for a model"
     )
     _add_model_source(derive)
+    derive.add_argument(
+        "--tau", help="filter width override (time quantity; 0 disables)"
+    )
     derive.add_argument("--order", type=int, default=2)
     derive.add_argument(
         "--threshold",

@@ -58,7 +58,7 @@ __all__ = [
     "load_effective",
 ]
 
-#: Default name of the frequency-shift regulator used for ramps.
+#: Base name of the frequency-shift regulator of ramps (see load_model).
 RAMP_REGULATOR = "delta"
 
 #: Sample times over a pruning window at which each coefficient's
@@ -150,9 +150,7 @@ class ModelSpec:
     def __post_init__(self):
         self.modes = tuple(self.modes)
         self.terms = tuple(self.terms)
-        declared = set(self.params) | {TAU.name, TIME.name}
-        if self.regulator:
-            declared.add(self.regulator)
+        declared = set(self.params) | {TAU.name, TIME.name, self.regulator}
         for term in self.terms:
             used = {s.name for s in term.coeff.free_symbols} | set(
                 term.freq.symbols
@@ -181,13 +179,16 @@ class ModelSpec:
         self, overrides: Mapping[str, float] | None = None
     ) -> dict[str, float]:
         """Numeric values of the declared symbols, with ``overrides``
-        applied; an override must name a declared symbol or ``tau``."""
+        applied; an override must name a declared symbol or ``tau``, and
+        ``tau`` only while the filter leaves it symbolic."""
         overrides = overrides or {}
         unknown = set(overrides) - set(self.params) - {TAU.name}
         if unknown:
             raise ValueError(
                 f"model {self.name!r} declares no symbol(s) {sorted(unknown)}"
             )
+        if TAU.name in overrides and self.filter_spec.tau.is_number:
+            raise ValueError(f"tau is already numeric in model {self.name!r}")
         out = {k: v for k, v in self.params.items() if v is not None}
         out.update(overrides)
         missing = [
@@ -328,7 +329,12 @@ def load_model(document) -> ModelSpec:
     The term list must be Hermitian as written: a term without its
     conjugate partner is rejected, as is a document that is not an object,
     ``modes``, ``terms`` or ``ramps`` that is not a list of objects, a
-    missing field of a mode, term or ramp, and a field of the wrong type.
+    missing field of a mode, term or ramp, a field of the wrong type, and
+    ``symbols`` that declare the reserved names ``t`` or ``tau``.
+
+    The shift that splits ramped terms (:func:`encode_linear_ramp`) is
+    :data:`RAMP_REGULATOR` with ``_`` appended until no symbol, ramp
+    duration, coupling, ``t`` or ``tau`` uses the name.
     """
     if isinstance(document, str) and not document.lstrip().startswith("{"):
         with open(document) as fh:
@@ -345,6 +351,9 @@ def load_model(document) -> ModelSpec:
         name: None if value is None else parse_quantity(value)
         for name, value in symbols.items()
     }
+    reserved = sorted({TIME.name, TAU.name} & set(params))
+    if reserved:
+        raise ValueError(f'"symbols" declares reserved name(s) {reserved}')
 
     filt = document.get("filter", {"kind": "gaussian"})
     if not isinstance(filt, Mapping):
@@ -367,20 +376,7 @@ def load_model(document) -> ModelSpec:
         )
         for ramp in _object_list("ramps", document.get("ramps", []))
     ]
-    regulator = None
-    if ramps:
-        regulator = document.get("regulator", RAMP_REGULATOR)
-        if not isinstance(regulator, str):
-            raise ValueError(
-                f'model field "regulator" must be a string, got {regulator!r}'
-            )
-    durations = {duration for _, duration in ramps}
-    if regulator in set(params) | durations | {TIME.name, TAU.name}:
-        raise ValueError(
-            f"regulator {regulator!r} is already a model symbol; choose "
-            "another name"
-        )
-    terms = []
+    parsed = []  # (term, its ramp duration or None)
     for entry in _object_list("terms", document.get("terms", [])):
         coupling = _field(entry, "coupling", "model term")
         if isinstance(coupling, bool) or not isinstance(
@@ -410,13 +406,24 @@ def load_model(document) -> ModelSpec:
                     f"term at frequency {freq} marked ramped but no ramp "
                     "entry names a symbol from its coupling"
                 )
-        if matched is None:
+        parsed.append((term, matched))
+
+    regulator = None
+    if ramps:
+        taken = {TIME.name, TAU.name, *params, *(d for _, d in ramps)}
+        taken |= {s.name for t, _ in parsed for s in t.coeff.free_symbols}
+        regulator = RAMP_REGULATOR
+        while regulator in taken:
+            regulator += "_"
+    terms = []
+    for term, duration in parsed:
+        if duration is None:
             terms.append(term)
         else:
-            params.setdefault(matched, None)
+            params.setdefault(duration, None)
             terms.extend(
                 encode_linear_ramp(
-                    term, sp.Symbol(matched, positive=True), regulator
+                    term, sp.Symbol(duration, positive=True), regulator
                 )
             )
 
@@ -466,30 +473,25 @@ def _ramp_limit(groups: Mapping, regulator: str | None):
     """Take the regulator -> 0 limit groupwise.
 
     ``groups`` maps a merge key to a list of ``(coeff, shift_multiple)``
-    pairs.  Without a regulator the pieces are summed term by term.  With
-    one, the combined coefficient including the residual phase
+    pairs.  The combined coefficient including the residual phase
     ``exp(-i*m*shift*t)`` is expanded as a truncated Laurent series in the
     shift (:class:`stcg.contraction._ShiftSeries`) and the constant term
-    kept; a negative power that does not vanish means the ramp limit does
-    not exist.  Zero results are dropped.
+    kept, multiplied out by :func:`_expanded_terms`; a negative power that
+    does not vanish means the ramp limit does not exist.  Without a
+    regulator the shift is a ``Dummy`` that no coefficient contains, so
+    each group is its own constant term.  Zero results are dropped.
     """
-    out = {}
-    if regulator is None:
-        for key, pieces in groups.items():
-            value = sp.Add(
-                *(t for coeff, _ in pieces for t in _expanded_terms(coeff))
-            )
-            if value != 0:
-                out[key] = value
-        return out
-    shift = sp.Symbol(regulator, real=True)
+    shift = sp.Symbol(regulator, real=True) if regulator else sp.Dummy()
     kernel = _ShiftSeries(shift)
+    out = {}
     for key, pieces in groups.items():
+        # Unevaluated: the pieces are summed once, after multiplying out.
         combined = sp.Add(
             *(
-                coeff * sp.exp(-sp.I * _frac_to_rational(m) * shift * TIME)
+                coeff * sp.exp(-sp.I * sp.Rational(m) * shift * TIME)
                 for coeff, m in pieces
-            )
+            ),
+            evaluate=False,
         )
         try:
             low = kernel.low(combined)
@@ -541,10 +543,6 @@ def _distributed(expr: sp.Expr) -> list:
     return [expr]
 
 
-def _frac_to_rational(f: Fraction) -> sp.Rational:
-    return sp.Rational(f.numerator, f.denominator)
-
-
 def _split_regulator(freq: FreqExpr, regulator: str | None):
     """Return (base frequency, regulator multiple)."""
     if regulator is None or regulator not in freq.symbols:
@@ -559,13 +557,12 @@ def _split_regulator(freq: FreqExpr, regulator: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _orders(order, minimum: int) -> list[int]:
-    """The requested orders (``1..order``, or those listed) from
-    ``minimum`` on; at least one requested order must be 1 or more."""
-    requested = range(1, order + 1) if isinstance(order, int) else list(order)
-    if not any(k >= 1 for k in requested):
+def _orders(order, minimum: int) -> range:
+    """The orders ``minimum..order``; ``order`` must be an ``int`` (not a
+    ``bool``) of at least 1."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValueError(f"derivation order must be at least 1, got {order!r}")
-    return [k for k in requested if k >= minimum]
+    return range(minimum, order + 1)
 
 
 def _product(terms: Sequence[HamiltonianTermSpec]) -> OperatorSum:
@@ -579,8 +576,8 @@ def _product(terms: Sequence[HamiltonianTermSpec]) -> OperatorSum:
 def _merge(model: ModelSpec, slots: Mapping) -> list:
     """Resolve merged ``(key, frequency)`` slots into sorted terms.
 
-    Slots are grouped by their regulator-free frequency; each group is summed
-    (or, for a ramped model, its regulator limit taken).  Returns
+    Slots are grouped by their regulator-free frequency; each group is
+    summed through :func:`_ramp_limit`, the shift's limit taken.  Returns
     ``(key, frequency, coefficient)`` triples with non-zero coefficients,
     sorted by frequency text, then key.
     """
@@ -692,7 +689,7 @@ def assemble(model: ModelSpec, order: int) -> EffectiveModel:
 # ---------------------------------------------------------------------------
 
 
-def ir_limit(expr: sp.Expr, tau: sp.Symbol = TAU) -> sp.Expr:
+def ir_limit(expr: sp.Expr) -> sp.Expr:
     """Drop exponentially filtered content: any ``exp`` carrying ``tau``
     (a non-zero filtered frequency) goes to zero, bare ``tau`` powers stay.
 
@@ -701,7 +698,7 @@ def ir_limit(expr: sp.Expr, tau: sp.Symbol = TAU) -> sp.Expr:
     expr = sp.expand(expr)
     return sp.expand(
         expr.replace(
-            lambda e: e.func is sp.exp and e.has(tau),
+            lambda e: e.func is sp.exp and e.has(TAU),
             lambda e: sp.Integer(0),
         )
     )

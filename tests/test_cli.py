@@ -132,25 +132,13 @@ class TestExitCodes:
         assert main(["derive", "--preset", "rabi", "--order", "2"]) == 3
         assert "error: regulator poles survive" in capsys.readouterr().err
 
-    def test_validation_error_on_regulator_named_like_a_symbol(
-        self, tmp_path, capsys
-    ):
-        doc = {
-            "name": "ramped-pump",
-            "modes": [{"name": "a", "kind": "bosonic", "truncation": 3}],
-            "symbols": {"wp": None, "beta0": None},
-            "ramps": [{"symbol": "beta0", "duration": "T"}],
-            "regulator": "wp",
-            "terms": [
-                {"coupling": "beta0", "frequency": "2*wp", "operator": "a^2"},
-                {"coupling": "beta0", "frequency": "-2*wp",
-                 "operator": "a'^2"},
-            ],
-        }
-        path = tmp_path / "pump.json"
-        path.write_text(json.dumps(doc))
-        assert main(["derive", "--model", str(path), "--order", "1"]) == 3
-        assert "regulator 'wp'" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", ["t", "tau"])
+    def test_validation_error_on_reserved_symbol(self, name, capsys):
+        doc = get_preset("rabi")
+        doc["symbols"][name] = "0.3ns"
+        code = main(["derive", "--model", json.dumps(doc), "--order", "1"])
+        assert code == 3
+        assert f"reserved name(s) ['{name}']" in capsys.readouterr().err
 
     def test_validation_error_on_non_finite_tau(self, capsys):
         code = main(
@@ -249,8 +237,7 @@ class TestExitCodes:
         assert "declares no symbol(s) ['gg']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", [["--tau", "0.5ns"], ["--params", "tau=0.5ns"]],
-        ids=["tau", "params"],
+        "flag", [["--params", "tau=0.5ns"]], ids=["params"]
     )
     def test_validation_error_on_tau_of_numeric_tau_effective_model(
         self, flag, capsys
@@ -269,9 +256,8 @@ class TestExitCodes:
         [
             (("ramps", 0, "duration"), 5),
             (("ramps", 0, "symbol"), 3),
-            (("regulator",), 7),
         ],
-        ids=["duration", "symbol", "regulator"],
+        ids=["duration", "symbol"],
     )
     def test_validation_error_on_ramp_field_that_is_not_a_string(
         self, path, value, capsys
@@ -540,7 +526,8 @@ class TestSimulateAndCompare:
         assert metrics["pe"]["max_abs"] < 0.05
 
     def test_effective_tau_option(self, tmp_path, capsys):
-        # derived with symbolic tau: --tau must supply it like --params does
+        # derived with symbolic tau: --params supplies it; simulate has no
+        # --tau (it filters nothing on the model path)
         doc = {k: v for k, v in JC_DOC.items() if k != "filter"}
         model = tmp_path / "jc_symbolic.json"
         model.write_text(json.dumps(doc))
@@ -550,13 +537,29 @@ class TestSimulateAndCompare:
         ) == 0
         common = ["simulate", "--effective", str(eff), "--initial",
                   "fock(0)*e", "--t1", "1ns", "--samples", "11"]
-        by_tau, by_params = tmp_path / "tau.csv", tmp_path / "params.csv"
-        assert main([*common, "--tau", "0.2ns", "-o", str(by_tau)]) == 0
+        by_params = tmp_path / "params.csv"
         assert main(
             [*common, "--params", "tau=0.2ns", "-o", str(by_params)]
         ) == 0
-        assert by_tau.read_bytes() == by_params.read_bytes()
+        assert by_params.read_text().count("\n") == 12
+        assert main([*common, "--tau", "0.2ns"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive", "--preset", "rabi", "--order", "1", "--threshold",
+             "0"],
+            ["simulate", "--preset", "rabi", "--initial", "coherent(1)*e",
+             "--t1", "0.2ns", "--samples", "3"],
+        ],
+        ids=["derive", "simulate"],
+    )
+    def test_tau_override_of_numeric_tau_model(self, argv, capsys):
+        # the preset's filter fixes tau = 0.2ns; an override would be
+        # recorded but never used
+        assert main([*argv, "--params", "tau=0.5ns"]) == 3
+        assert "tau is already numeric" in capsys.readouterr().err
 
     def test_effective_coefficient_with_functions(self, tmp_path, capsys):
         # the factor cancels on parsing, so the run matches the stored file

@@ -124,6 +124,14 @@ class TestLoadModel:
         with pytest.raises(ValueError, match=r"no symbol\(s\) \['gg'\]"):
             model.numeric_assignment({"wc": 20.0, "g": 0.5, "gg": 0.5})
 
+    def test_numeric_assignment_rejects_tau_of_numeric_filter(self):
+        doc = dict(RABI_DOC, filter={"kind": "gaussian", "tau": "0.2ns"})
+        model = load_model(doc)
+        point = model.numeric_assignment({"wc": 20.0, "wa": 21.0, "g": 0.5})
+        assert point["tau"] == parse_quantity("0.2ns")
+        with pytest.raises(ValueError, match="tau is already numeric"):
+            model.numeric_assignment({"tau": 0.5e-9})
+
 
 
 class TestRamps:
@@ -190,13 +198,41 @@ class TestRamps:
         T = sp.Symbol("T", positive=True)
         assert sp.simplify(term.coeff - g0 * t / T) == 0
 
-    @pytest.mark.parametrize("name", ["wp", "T", "t", "tau"])
-    def test_regulator_must_not_be_a_model_symbol(self, name):
-        # With "wp" the shift used to fold into the pump frequency, leaving
-        # unmerged static terms at order 1.
-        doc = dict(RAMPED_PUMP_DOC, regulator=name)
-        with pytest.raises(ValueError, match=f"regulator '{name}'"):
-            load_model(doc)
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize(
+        "names", [("delta",), ("delta", "delta_")], ids=["delta", "delta_"]
+    )
+    def test_symbols_named_like_the_shift(self, names, order):
+        # The loader names the shift past every model symbol, so declaring
+        # its default name changes nothing but the names.
+        rename = dict(zip(names, ("kappa", "nu")))
+        doc = dict(
+            RAMPED_PUMP_DOC,
+            symbols={**RAMPED_PUMP_DOC["symbols"], **dict.fromkeys(names)},
+            terms=RAMPED_PUMP_DOC["terms"] + [
+                {"coupling": "delta", "frequency": "wp", "operator": "a"},
+                {"coupling": "delta", "frequency": "-wp", "operator": "a'"},
+            ],
+        )
+        if len(names) == 2:
+            for term in doc["terms"][2:]:
+                term["frequency"] = term["frequency"].replace("wp", "delta_")
+        model = load_model(doc)
+        assert model.regulator == names[-1] + "_"
+        _assert_equal_renamed(doc, order, rename)
+
+    def test_regulator_field_is_ignored(self):
+        model = load_model(dict(RAMPED_PUMP_DOC, regulator="wp"))
+        assert model.regulator == "delta"
+
+    def test_coupling_naming_the_shift_is_undeclared(self):
+        terms = [
+            dict(t, coupling="beta0*delta") for t in RAMPED_PUMP_DOC["terms"]
+        ]
+        with pytest.raises(
+            ValueError, match=re.escape("uses undeclared symbol(s) ['delta']")
+        ):
+            load_model(dict(RAMPED_PUMP_DOC, terms=terms))
 
 
 RAMPED_PUMP_DOC = {
@@ -399,7 +435,48 @@ class TestRampLimitKernel:
             smodel._ramp_limit({key: pieces}, "delta")
 
 
+def _renamed(doc, rename):
+    """``doc`` as json text with every name in ``rename`` replaced."""
+    text = json.dumps(doc)
+    for old, new in rename.items():
+        text = re.sub(rf"\b{old}\b", new, text)
+    return text
+
+
+def _assert_equal_renamed(doc, order, rename):
+    """``doc`` assembled through ``order`` equals, term by term, the same
+    model with the names in ``rename`` replaced."""
+    exports = [
+        export_model(assemble(load_model(d), order))
+        for d in (doc, json.loads(_renamed(doc, rename)))
+    ]
+    exports[0] = json.loads(_renamed(exports[0], rename))
+    names = set(load_model(doc).params) - set(rename) | set(rename.values())
+    locs = {n: sp.Symbol(n, real=True) for n in names}
+    locs.update(t=TIME, tau=TAU, T=sp.Symbol("T", positive=True))
+    tables = [
+        {
+            (entry.get("operator"), entry.get("L"), entry.get("J"),
+             entry["frequency"]): sp.sympify(
+                entry.get("coeff", entry.get("rate")), locals=locs
+            )
+            for entry in export["hamiltonian"] + export["dissipators"]
+        }
+        for export in exports
+    ]
+    assert tables[0].keys() == tables[1].keys()
+    assert tables[0]
+    for key, value in tables[0].items():
+        assert sp.simplify(value - tables[1][key]) == 0, key
+
+
 class TestMergeWithoutRamp:
+    def test_symbol_named_like_the_shift(self):
+        # The merge kernel's shift is a Dummy when nothing is ramped: a
+        # model symbol named delta is not expanded as the shift.
+        doc = json.loads(_renamed(DRIVE_DOC, {"c0": "delta"}))
+        _assert_equal_renamed(doc, 2, {"delta": "c0"})
+
     # cavity-qubit has sums of frequencies in denominators, so its merge
     # also takes the per-term expand path; drive's are all monomials.
     @pytest.mark.parametrize(
@@ -474,7 +551,7 @@ class TestAssembly:
         m = load_model(RABI_DOC)
         assert effective_dissipators(m, 1) == ()
 
-    @pytest.mark.parametrize("order", [0, -2, [0], []])
+    @pytest.mark.parametrize("order", [0, -2, [0], [], [1, 3], True])
     def test_rejects_order_below_one(self, order):
         m = load_model(RABI_DOC)
         for derive in (assemble, effective_hamiltonian, effective_dissipators):
