@@ -170,6 +170,12 @@ def _cmd_simulate(args) -> int:
     else:
         model = _load_model_arg(args)
         assignment = model.numeric_assignment(overrides)
+        used = {s.name for t in model.terms for s in t.coeff.free_symbols}
+        if "tau" in overrides and "tau" not in used:
+            raise ValueError(
+                "no coupling of the model uses tau, so --params tau=... "
+                "cannot change its exact integration"
+            )
         generator = model
         modes = model.modes
 

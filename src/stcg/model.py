@@ -334,7 +334,9 @@ def load_model(document) -> ModelSpec:
 
     The shift that splits ramped terms (:func:`encode_linear_ramp`) is
     :data:`RAMP_REGULATOR` with ``_`` appended until no symbol, ramp
-    duration, coupling, ``t`` or ``tau`` uses the name.
+    duration, coupling, ``t`` or ``tau`` uses the name.  It is named only
+    when a ramp entry matched a term: a model whose ramps match none has
+    no regulator and integrates exactly.
     """
     if isinstance(document, str) and not document.lstrip().startswith("{"):
         with open(document) as fh:
@@ -409,7 +411,7 @@ def load_model(document) -> ModelSpec:
         parsed.append((term, matched))
 
     regulator = None
-    if ramps:
+    if any(duration is not None for _, duration in parsed):
         taken = {TIME.name, TAU.name, *params, *(d for _, d in ramps)}
         taken |= {s.name for t, _ in parsed for s in t.coeff.free_symbols}
         regulator = RAMP_REGULATOR

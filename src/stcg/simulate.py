@@ -33,24 +33,32 @@ next step's first) reuses the coefficient-weighted values.
 A run without dissipators takes the vector path instead when rho0 is
 positive semidefinite: rho0 is split as ``Psi Psi^dagger`` by a pivoted
 Cholesky (rank r) and RK4 integrates ``Psi' = -i H(t) Psi`` on the d x r
-block, applying A by the same slot product.  Each sample stores ``Psi
-Psi^dagger`` made exactly Hermitian.  Unlike rho-RK4, whose generator is
-trace-free, RK4 on vectors loses norm (about theta^6/72 a step), so the
-vector path runs one sample interval at a time and repeats an interval
-at twice the steps, keeping the finer stride, while ``sum |psi|^2`` fell
-by more than ``TRACE_TOL / 2 / (n_samples - 1)``.
-``Trajectory.meta["rhs"]`` records the path taken (``vector`` or
-``hermitian``) and ``meta["steps"]`` the RK4 steps, repeated intervals
-included.  Both paths share one RK4 loop with stage times ``t0 + n*dt``,
-work in preallocated arrays and write samples into a preallocated
-trajectory.
+block, applying A by the same slot product.  Each sample stores the
+block Psi itself, a factor of its state: the trajectory holds N x d x r
+numbers, not N x d x d, and ``Trajectory.states`` builds ``Psi
+Psi^dagger``, made exactly Hermitian, when it is read.  Unlike rho-RK4,
+whose generator is trace-free, RK4 on vectors loses norm (about
+theta^6/72 a step), so the vector path runs one sample interval at a
+time and repeats an interval at twice the steps, keeping the finer
+stride, while ``sum |psi|^2`` is more than ``TRACE_TOL / 2`` from its
+start and fell over the interval by more than ``TRACE_TOL / 2 /
+(n_samples - 1)``.  ``Trajectory.meta["rhs"]`` records the path taken
+(``vector`` or ``hermitian``) and ``meta["steps"]`` the RK4 steps,
+repeated intervals included.  Both paths share one RK4 loop with stage
+times ``t0 + n*dt``, work in preallocated arrays and write samples into
+a preallocated trajectory.
+
+Coarse-graining keeps a factored trajectory factored while that is the
+smaller form: a Gaussian average of K rank-r samples is the product of
+one d x K*r block with its adjoint, stored as that block when ``K * r <
+d``.  Observables are read from the factors directly.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -104,22 +112,59 @@ class NumericalGuardError(RuntimeError):
     """Integration tripped a sanity guard (trace drift, overflow, ...)."""
 
 
-@dataclass
 class Trajectory:
-    """Density-matrix snapshots on a time grid; ``states`` is stored
-    C-contiguous, so its (N, d^2) reshape is a view."""
+    """Density matrices on a time grid, held as dense ``states`` (N, d, d)
+    or as ``factors`` F (N, d, r), sample n being ``F_n F_n^dagger`` made
+    exactly Hermitian.
 
-    times: np.ndarray
-    states: np.ndarray  # shape (N, d, d)
-    meta: dict = field(default_factory=dict)
+    ``states`` is the one reader of either form.  On a factored trajectory
+    it builds a fresh (N, d, d) array on each access and keeps none, so
+    the d x d frames live only as long as their reader; :meth:`state`
+    builds one frame.  Stored arrays are C-contiguous, so the (N, d^2)
+    reshape of dense ``states`` is a view.
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.ascontiguousarray(self.states, dtype=complex)
-        if len(self.times) != len(self.states):
+    def __init__(self, times, states=None, meta=None, *, factors=None):
+        if (states is None) == (factors is None):
+            raise ValueError("a trajectory holds either states or factors")
+        self.times = np.asarray(times, dtype=float)
+        self.meta = {} if meta is None else meta
+        self._states, self.factors = (
+            None if held is None else np.ascontiguousarray(held, dtype=complex)
+            for held in (states, factors)
+        )
+        if len(self.times) != len(self._held):
             raise ValueError("snapshot count does not match grid")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("time grid must be strictly increasing")
+
+    @property
+    def _held(self) -> np.ndarray:
+        return self._states if self.factors is None else self.factors
+
+    @property
+    def dim(self) -> int:
+        """Dimension d of the density matrices."""
+        return self._held.shape[1]
+
+    @property
+    def states(self) -> np.ndarray:
+        """All samples as one (N, d, d) array; built afresh on each access
+        of a factored trajectory."""
+        if self.factors is None:
+            return self._states
+        out = np.empty((len(self.factors), self.dim, self.dim), dtype=complex)
+        for factor, frame in zip(self.factors, out):
+            _hermitian_outer(factor, frame)
+        return out
+
+    def state(self, i: int) -> np.ndarray:
+        """Sample i as a d x d array, built from its factor if factored."""
+        if self.factors is None:
+            return self._states[i]
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        _hermitian_outer(self.factors[i], out)
+        return out
 
     @property
     def dt(self) -> float:
@@ -607,15 +652,19 @@ def integrate(
     generator be (see :func:`_realize`).  A run without dissipators from a
     positive semidefinite rho0 takes the vector path: rho0 is split as
     ``Psi Psi^dagger`` (pivoted Cholesky, rank r) and RK4 integrates ``Psi'
-    = -i H(t) Psi`` on the d x r block.  Each sample stores ``Psi
-    Psi^dagger`` made exactly Hermitian.  RK4 on vectors loses norm (about
+    = -i H(t) Psi`` on the d x r block.  The trajectory stores each
+    sample's block as its factor (``Trajectory.factors``); ``states``
+    builds ``Psi Psi^dagger``, made exactly Hermitian, on access, and the
+    guards above read ``sum |psi|^2``.  RK4 on vectors loses norm (about
     theta^6/72 a step), so the vector path runs one sample interval at a
-    time: an interval that lost more than ``TRACE_TOL / 2 / (n_samples -
-    1)`` of ``sum |psi|^2`` is run again at twice the steps, and the finer
-    stride is kept; a loss that does not shrink as the step halves raises
+    time: an interval that leaves ``sum |psi|^2`` more than ``TRACE_TOL /
+    2`` from its start and lost more than ``TRACE_TOL / 2 / (n_samples -
+    1)`` itself is run again at twice the steps, and the finer stride is
+    kept; a loss that does not shrink as the step halves raises
     :class:`NumericalGuardError`.  A norm that rose or is not finite marks
     an unstable step, left to the guard above.  Any other run takes the
-    Hermitian-half right-hand side of :func:`_generator`.
+    Hermitian-half right-hand side of :func:`_generator` and stores dense
+    states.
 
     ``Trajectory.meta`` holds ``rhs`` (``"vector"`` or ``"hermitian"``),
     ``steps`` (RK4 steps taken, repeated intervals included), the final
@@ -649,6 +698,9 @@ def integrate(
         rhs = _generator(ham, dis, dim, vectors=psi.shape[1])
         state = psi
     del ham, dis  # the dense term matrices, d x d each, are done with
+    # a vector run stores its d x r blocks Psi, a density run its rho
+    frames = np.empty((n_samples,) + state.shape, dtype=complex)
+    frames[0] = state
     if dt is None:
         if fastest > 0:
             dt = 2 * math.pi / fastest / STEPS_PER_PERIOD
@@ -660,27 +712,29 @@ def integrate(
 
     advance = _rk4(rhs, state)
     trace0 = abs(np.trace(rho0))
+    norm0 = None if psi is None else np.vdot(psi, psi).real
     times = np.empty(n_samples)
-    states = np.empty((n_samples, dim, dim), dtype=complex)
     times[0] = t0
-    states[0] = rho0
     steps = 0
     for sample in range(1, n_samples):
         if psi is None:
             advance(t0, sample_dt / stride, (sample - 1) * stride, stride)
             steps += stride
-            states[sample] = state
+            finite = np.all(np.isfinite(state))
+            trace = abs(np.trace(state))
         else:
-            stride, taken = _norm_refined(
-                advance, state, t0, sample_dt, sample, stride, budget
+            # tr(Psi Psi^dagger) = sum |psi|^2, finite only if Psi is
+            stride, taken, trace = _norm_refined(
+                advance, state, t0, sample_dt, sample, stride, budget, norm0
             )
             steps += taken
-            _hermitian_outer(state, states[sample])
+            finite = math.isfinite(trace)
+        frames[sample] = state
         dt = sample_dt / stride
         t = t0 + sample * stride * dt
-        if not np.all(np.isfinite(states[sample])):
+        if not finite:
             raise NumericalGuardError(f"non-finite state at t={t}")
-        drift = abs(abs(np.trace(states[sample])) - trace0)
+        drift = abs(trace - trace0)
         if drift > TRACE_TOL:
             raise NumericalGuardError(
                 f"trace drift {drift:.2e} exceeds {TRACE_TOL} at t={t}"
@@ -694,9 +748,10 @@ def integrate(
         "jump_records": rhs.jump_records,
         "kind": "tcg" if isinstance(generator, EffectiveModel) else "exact",
     }
-    if psi is not None:
-        meta["rank"] = psi.shape[1]
-    return Trajectory(times, states, meta=meta)
+    if psi is None:
+        return Trajectory(times, frames, meta)
+    meta["rank"] = psi.shape[1]
+    return Trajectory(times, meta=meta, factors=frames)
 
 
 def _rk4(rhs, y: np.ndarray):
@@ -728,10 +783,18 @@ def _rk4(rhs, y: np.ndarray):
     return advance
 
 
-def _norm_refined(advance, psi, t0, sample_dt, sample, stride, budget):
+def _norm_refined(
+    advance, psi, t0, sample_dt, sample, stride, budget, norm0
+):
     """Advance the state vectors ``psi`` over sample interval ``sample``
-    at ``stride`` steps, doubling the steps until ``sum |psi|^2`` falls by
-    at most ``budget``; returns the final stride and the steps taken.
+    at ``stride`` steps, doubling the steps until ``sum |psi|^2`` is
+    within ``TRACE_TOL / 2`` of the run's initial ``norm0`` or fell over
+    the interval by at most ``budget``; returns the final stride, the
+    steps taken and the final ``sum |psi|^2``.
+
+    With ``budget = TRACE_TOL / 2 / (n_samples - 1)`` the intervals after
+    the last one accepted by the first bound lose at most ``TRACE_TOL /
+    2`` together, so the run's loss stays within ``TRACE_TOL``.
 
     A norm that rose or is not finite is returned as it is, for the
     caller's guard; a loss that does not shrink as the step halves raises
@@ -744,9 +807,10 @@ def _norm_refined(advance, psi, t0, sample_dt, sample, stride, budget):
     while True:
         advance(t0, sample_dt / stride, (sample - 1) * stride, stride)
         taken += stride
-        loss = norm - np.vdot(psi, psi).real
-        if not loss > budget:
-            return stride, taken
+        now = np.vdot(psi, psi).real
+        loss = norm - now
+        if not loss > budget or abs(now - norm0) <= TRACE_TOL / 2:
+            return stride, taken, now
         if not loss < last_loss:
             raise NumericalGuardError(
                 f"norm loss {loss:.2e} over the sample interval ending at "
@@ -824,8 +888,12 @@ def coarse_grain_trajectory(traj: Trajectory, tau: float) -> Trajectory:
     The kernel is truncated at +/-{KERNEL_SUPPORT} tau and renormalized;
     output keeps only interior points with full kernel support, so the
     input must extend at least that margin beyond the window of interest.
-    The grid must be uniform.  Output frame i is one product of the K
-    kernel taps with input frames i to i + K - 1 as rows of d^2 entries.
+    The grid must be uniform.  On dense states, output frame i is one
+    product of the K kernel taps w_k with input frames i to i + K - 1 as
+    rows of d^2 entries.  On factors F (r columns each), it is ``Phi_i
+    Phi_i^dagger`` for the d x K*r block ``Phi_i = [sqrt(w_k)
+    F_{{i+k}}]_k``, exact because every tap is positive: the output is
+    factored by these blocks when ``K * r < d``, and dense otherwise.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"averaging width must be finite and > 0, got {tau}")
@@ -837,13 +905,32 @@ def coarse_grain_trajectory(traj: Trajectory, tau: float) -> Trajectory:
             f"trajectory too short for averaging width: pad by >= {need:.3g}"
         )
     n_out = len(traj.times) - len(kernel) + 1
-    frames = traj.states.reshape(len(traj.times), -1)
-    averaged = np.empty((n_out,) + traj.states.shape[1:], dtype=complex)
-    for i, out in enumerate(averaged.reshape(n_out, -1)):
-        np.matmul(kernel, frames[i : i + len(kernel)], out=out)
+    times = traj.times[half:-half]
     meta = dict(traj.meta)
     meta["coarse_grained_tau"] = tau
-    return Trajectory(traj.times[half:-half], averaged, meta)
+    dim = traj.dim
+    if traj.factors is None:
+        frames = traj.states.reshape(len(traj.times), -1)
+        averaged = np.empty((n_out, dim, dim), dtype=complex)
+        for i, out in enumerate(averaged.reshape(n_out, -1)):
+            np.matmul(kernel, frames[i : i + len(kernel)], out=out)
+        return Trajectory(times, averaged, meta)
+    # the taps are positive: frame i is Phi_i Phi_i^dagger, Phi_i the K
+    # input factors side by side, each scaled by the root of its tap
+    roots = np.sqrt(kernel)[:, None, None]
+    blocks = (
+        roots * traj.factors[i : i + len(kernel)] for i in range(n_out)
+    )
+    width = len(kernel) * traj.factors.shape[2]
+    if width < dim:
+        factors = np.empty((n_out, dim, width), dtype=complex)
+        for block, out in zip(blocks, factors):
+            np.concatenate(block, axis=1, out=out)
+        return Trajectory(times, meta=meta, factors=factors)
+    averaged = np.empty((n_out, dim, dim), dtype=complex)
+    for block, out in zip(blocks, averaged):
+        _hermitian_outer(np.concatenate(block, axis=1), out)
+    return Trajectory(times, averaged, meta)
 
 
 coarse_grain_trajectory.__doc__ = coarse_grain_trajectory.__doc__.format(
@@ -857,11 +944,17 @@ def expectation_series(
     assignment: Mapping[str, float] | None = None,
 ) -> np.ndarray:
     """``tr(O rho_t)`` per sample, O the matrix of ``obs`` at ``assignment``:
-    one product of the (N, d^2) frames with the flattened transpose of O."""
+    one product of the (N, d^2) frames with the flattened transpose of O,
+    or on a factored trajectory the sum of ``conj(F) * (O F)`` per frame,
+    no d x d state built."""
     matrix = obs.op.matrix(assignment)
-    if matrix.shape != traj.states.shape[1:]:
+    if matrix.shape != (traj.dim, traj.dim):
         raise ValueError("observable dimension does not match trajectory")
-    return traj.states.reshape(len(traj.times), matrix.size) @ matrix.T.ravel()
+    if traj.factors is None:
+        frames = traj.states.reshape(len(traj.times), matrix.size)
+        return frames @ matrix.T.ravel()
+    # tr(O F F^dagger) sums the entries of conj(F) * (O F)
+    return np.einsum("nij,nij->n", traj.factors.conj(), matrix @ traj.factors)
 
 
 def compare_series(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
@@ -916,7 +1009,7 @@ def rate_decomposition(
             continue
         ok[i] = True
         ground = vecs[:, 0]
-        rho = traj.states[i]
+        rho = traj.state(i)
         hdot = (
             _hamiltonian_at(ham, dim, t + dt / 2)
             - _hamiltonian_at(ham, dim, t - dt / 2)

@@ -561,6 +561,40 @@ class TestSimulateAndCompare:
         assert main([*argv, "--params", "tau=0.5ns"]) == 3
         assert "tau is already numeric" in capsys.readouterr().err
 
+    def test_tau_override_of_model_without_tau_coupling(
+        self, tmp_path, capsys
+    ):
+        # tau left symbolic, but the exact integration never reads it
+        doc = {k: v for k, v in JC_DOC.items() if k != "filter"}
+        model = tmp_path / "jc_symbolic.json"
+        model.write_text(json.dumps(doc))
+        argv = ["simulate", "--model", str(model), "--initial", "fock(0)*e",
+                "--t1", "0.2ns", "--samples", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--params", "tau=0.5ns"]) == 3
+        assert "no coupling of the model uses tau" in capsys.readouterr().err
+
+    def test_ramp_entry_that_matches_no_term(self, tmp_path, capsys):
+        # nothing is ramped, so the model integrates exactly
+        doc = {
+            "name": "drive",
+            "modes": [{"name": "a", "kind": "bosonic", "truncation": 4}],
+            "symbols": {"w": "2pi*1GHz", "g": "2pi*10MHz"},
+            "ramps": [{"symbol": "other", "duration": "T"}],
+            "terms": [
+                {"coupling": "g", "frequency": "w", "operator": "a'"},
+                {"coupling": "g", "frequency": "-w", "operator": "a"},
+            ],
+        }
+        model = tmp_path / "drive.json"
+        model.write_text(json.dumps(doc))
+        assert main(
+            ["simulate", "--model", str(model), "--initial", "fock(0)",
+             "--t1", "0.2ns", "--samples", "3"]
+        ) == 0
+        assert capsys.readouterr().out.startswith("t,n_a")
+
     def test_effective_coefficient_with_functions(self, tmp_path, capsys):
         # the factor cancels on parsing, so the run matches the stored file
         factor = "log(2)*Abs(w)*sin(1)*cos(w*tau)*Min(1, w)"

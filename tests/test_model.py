@@ -180,6 +180,20 @@ class TestRamps:
         with pytest.raises(ValueError, match="ramped"):
             load_model(doc)
 
+    def test_ramp_entry_that_matches_no_term_names_no_regulator(self):
+        doc = {
+            "name": "r",
+            "modes": [{"name": "a", "kind": "bosonic", "truncation": 4}],
+            "symbols": {"d0": None},
+            "ramps": [{"symbol": "other", "duration": "T"}],
+            "terms": [
+                {"coupling": "d0", "frequency": "0", "operator": "a'*a"},
+            ],
+        }
+        m = load_model(doc)
+        assert m.regulator is None and len(m.terms) == 1
+        assert "T" not in m.params
+
     def test_ramp_limit_recovers_linear_coefficient(self):
         # a single ramped static term: effective order-1 coefficient must be
         # the linear ramp g*t/T

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -812,19 +813,39 @@ class TestVectorPath:
         traces = np.einsum("tii->t", traj.states).real
         assert np.max(np.abs(traces - 1.0)) <= simulate.TRACE_TOL
 
-    def test_refinement_doubles_until_loss_fits_budget(self):
+    @staticmethod
+    def refined(scale, budget, norm0):
+        """``_norm_refined`` over an interval that loses ``scale /
+        count^2`` of a unit norm at ``count`` steps."""
         psi = np.full((4, 1), 0.5, dtype=complex)
         start = psi.copy()
 
         def advance(t0, dt, first, count):
-            # a norm loss of 0.1 / count^2 over the interval
-            np.multiply(start, math.sqrt(1 - 0.1 / count**2), out=psi)
+            np.multiply(start, math.sqrt(1 - scale / count**2), out=psi)
 
-        stride, taken = simulate._norm_refined(
-            advance, psi, 0.0, 1.0, 1, 1, 1e-3
+        result = simulate._norm_refined(
+            advance, psi, 0.0, 1.0, 1, 1, budget, norm0
         )
+        return result, np.vdot(psi, psi).real
+
+    def test_refinement_doubles_until_loss_fits_budget(self):
+        # the run's drift is far outside TRACE_TOL / 2 at every stride
+        (stride, taken, norm), final = self.refined(0.1, 1e-3, 1.0)
         assert (stride, taken) == (16, 1 + 2 + 4 + 8 + 16)
-        assert 1 - np.vdot(psi, psi).real <= 1e-3
+        assert norm == final and 1 - norm <= 1e-3
+
+    @pytest.mark.parametrize(
+        "norm0, stride",
+        # the run's drift fits TRACE_TOL / 2 at once; with 4.5e-7 spent
+        # by earlier intervals, after one doubling
+        [(1.0, 1), (1.0 + 4.5e-7, 2)],
+        ids=["unspent", "spent"],
+    )
+    def test_refinement_stops_when_run_drift_fits(self, norm0, stride):
+        (got, taken, norm), final = self.refined(1e-7, 1e-9, norm0)
+        assert (got, taken) == (stride, 2 * stride - 1)
+        assert norm == final
+        assert 1 - norm > 1e-9 and abs(norm - norm0) <= simulate.TRACE_TOL / 2
 
     def test_loss_that_does_not_shrink_raises(self):
         psi = np.full((4, 1), 0.5, dtype=complex)
@@ -833,7 +854,7 @@ class TestVectorPath:
             np.multiply(psi, 0.9, out=psi)
 
         with pytest.raises(NumericalGuardError, match="does not shrink"):
-            simulate._norm_refined(advance, psi, 0.0, 1.0, 1, 1, 1e-3)
+            simulate._norm_refined(advance, psi, 0.0, 1.0, 1, 1, 1e-3, 1.0)
 
     def test_states_exactly_hermitian(self):
         model = jc_model()
@@ -859,6 +880,99 @@ class TestVectorPath:
             "vector", "hermitian"
         ]
         assert vector.meta["rank"] == 1
+
+
+def random_factors(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestFactoredTrajectory:
+    """Trajectories held as factors F, sample n being ``F_n F_n^dagger``
+    made exactly Hermitian: what the vector path stores."""
+
+    def test_states_are_hermitian_outer_of_factors(self):
+        factors = random_factors((4, 5, 2), 11)
+        traj = Trajectory(np.arange(4) * 0.1, factors=factors)
+        states = traj.states
+        assert states.shape == (4, 5, 5) and traj.dim == 5
+        for n, factor in enumerate(factors):
+            expected = np.empty((5, 5), dtype=complex)
+            simulate._hermitian_outer(factor, expected)
+            assert np.array_equal(states[n], expected)
+            assert np.array_equal(traj.state(n), expected)
+        # built afresh on each access, never kept
+        assert not np.shares_memory(traj.states, states)
+
+    def test_vector_run_is_stored_as_its_state_vectors(self):
+        model = jc_model()
+        rho0 = build_initial(model.modes, "coherent(1)*e")
+        traj = integrate(model, rho0, (0.0, 1.0), {"g": 1.3}, dt=0.01,
+                         n_samples=6)
+        assert traj.factors.shape == (6, len(rho0), traj.meta["rank"])
+        assert np.max(np.abs(traj.states[0] - rho0)) <= 1e-15
+        psi0 = simulate._split(rho0)
+        assert np.array_equal(traj.factors[0], psi0)
+
+    @pytest.mark.parametrize("given", ["neither", "both"])
+    def test_holds_states_or_factors(self, given):
+        states = np.ones((2, 1, 1), dtype=complex)
+        kwargs = {"factors": states} if given == "both" else {}
+        with pytest.raises(ValueError, match="either states or factors"):
+            Trajectory([0.0, 1.0], states if kwargs else None, **kwargs)
+
+    def test_checks_grid_of_factors(self):
+        with pytest.raises(ValueError, match="does not match grid"):
+            Trajectory([0.0, 1.0], factors=np.ones((3, 2, 1)))
+
+    def test_expectation_on_factors_equals_dense_product(self):
+        obs = ObservableSpec(operator_sum(JC_MODES, "a'*a", "a*sp", "sz"), "o")
+        factors = random_factors((7, 12, 3), 12)
+        traj = Trajectory(np.arange(7) * 0.1, factors=factors)
+        dense = Trajectory(traj.times, traj.states)
+        series = expectation_series(traj, obs)
+        ref = expectation_series(dense, obs)
+        assert np.max(np.abs(series - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_rate_decomposition_on_vector_run_equals_dense_copy(self):
+        # a drive at +/-w: dH/dt does not commute with H
+        eff = lindblad_model(
+            JC_MODES,
+            [
+                (0.6 + 0.2j, "w", operator_sum(JC_MODES, "a'", "sp")),
+                (0.6 - 0.2j, "-w", operator_sum(JC_MODES, "a", "sm")),
+                (1.1, "0", parse_operator("sz", JC_MODES)),
+            ],
+            [],
+        )
+        assignment = {"w": 2.9}
+        rho0 = build_initial(JC_MODES, "coherent(0.8)*e")
+        traj = integrate(eff, rho0, (0.0, 0.5), assignment, dt=0.01,
+                         n_samples=6)
+        assert traj.factors is not None
+        dense = Trajectory(traj.times, traj.states, traj.meta)
+        inert, dynam, ok = rate_decomposition(eff, traj, assignment)
+        assert ok.all() and np.min(np.abs(inert)) > 0
+        for got, ref in zip(
+            (inert, dynam, ok), rate_decomposition(eff, dense, assignment)
+        ):
+            assert np.array_equal(got, ref)
+
+    def test_vector_run_stores_no_dense_states(self):
+        # d = 200, rank 1: the factors take N * d * 16 bytes where dense
+        # states took N * d^2 * 16 (62 MiB here)
+        model, assignment = rabi_exact(100)
+        rho0 = build_initial(model.modes, "coherent(2)*e")
+        n_samples = 101
+        tracemalloc.start()
+        try:
+            traj = integrate(model, rho0, (0.0, 0.1e-9), assignment,
+                             n_samples=n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_samples * 200**2 * 16 / 4
+        assert traj.factors.shape == (n_samples, 200, 1)
 
 
 class TestDerivedModels:
@@ -958,17 +1072,29 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="finite and > 0"):
             coarse_grain_trajectory(Trajectory(times, states, {}), tau)
 
-    @pytest.mark.parametrize("case", ["matrix", "series", "view"])
+    @pytest.mark.parametrize(
+        "case", ["matrix", "series", "view", "factors", "wide factors"]
+    )
     def test_matches_plain_weighted_sum(self, case):
         rng = np.random.default_rng(6)
-        dim = {"matrix": 3, "series": 1, "view": 6}[case]
-        states = rng.normal(size=(70, dim, dim)) + 1j * rng.normal(
-            size=(70, dim, dim)
-        )
-        if case == "view":
-            states = states[:, ::2, 1::2].transpose(0, 2, 1)
-            assert not states.flags.c_contiguous
-        traj = Trajectory(np.arange(70) * 0.1, states, {})
+        times = np.arange(70) * 0.1
+        if case.endswith("factors"):
+            # 61 taps: K * r = 61 < d = 64 stays factored, 61 * 2 >= 6 not
+            dim, rank = (64, 1) if case == "factors" else (6, 2)
+            factors = rng.normal(size=(70, dim, rank)) + 1j * rng.normal(
+                size=(70, dim, rank)
+            )
+            traj = Trajectory(times, factors=factors)
+            states = traj.states
+        else:
+            dim = {"matrix": 3, "series": 1, "view": 6}[case]
+            states = rng.normal(size=(70, dim, dim)) + 1j * rng.normal(
+                size=(70, dim, dim)
+            )
+            if case == "view":
+                states = states[:, ::2, 1::2].transpose(0, 2, 1)
+                assert not states.flags.c_contiguous
+            traj = Trajectory(times, states, {})
         tau = 0.6
         kernel = simulate._gaussian_kernel(traj.dt, tau)
         n_out = len(states) - len(kernel) + 1
@@ -976,6 +1102,7 @@ class TestCoarseGrain:
         for offset, weight in enumerate(kernel):
             plain += weight * states[offset : offset + n_out]
         out = coarse_grain_trajectory(traj, tau)
+        assert (out.factors is not None) == (case == "factors")
         assert out.states.shape == plain.shape
         assert np.max(np.abs(out.states - plain)) <= 1e-14 * np.max(
             np.abs(plain)
