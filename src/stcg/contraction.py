@@ -5,11 +5,10 @@ acting from the left and ``r`` from the right of the state.  It is a sum
 over the bubble diagrams of :mod:`stcg.diagrams`; each diagram contributes a
 signed product of filter values divided by "vector factorials" (products of
 partial frequency sums).  Where partial sums vanish, every frequency is
-shifted by a distinct integer multiple of a regulator ``eps`` and the
-diagram is expanded as a truncated Laurent series in ``eps`` by
-:class:`_ShiftSeries`, the exact series kernel that also takes the ramp
-limit of :mod:`stcg.model`.  The poles must cancel in the sum over
-diagrams, and the finite part is the limit.
+shifted by a distinct integer multiple of a regulator ``eps``, and the
+singular diagrams of a coefficient are summed and expanded by one
+:class:`_ShiftSeries`.  Its ``finite_part``, which also takes the ramp limit
+of :mod:`stcg.model`, keeps the ``eps**0`` coefficient once the poles cancel.
 
 The module also carries a slow, independent numerical oracle
 (:func:`bubble_factor_oracle`) that rebuilds the same coefficients from
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 class UnresolvedSingularityError(ArithmeticError):
-    """A negative regulator power survived the full diagram sum."""
+    """A regulated limit does not exist (:meth:`_ShiftSeries.finite_part`)."""
 
 
 #: Regulator of singular diagrams.  A plain symbol carries no assumptions,
@@ -141,31 +140,28 @@ def diagram_contribution(
 
 
 def regularize_singular(
-    diagram: Diagram,
+    diagrams: Sequence[Diagram],
     freqs: FrequencyTuple,
     filter_spec: GaussianFilter,
-) -> dict[int, sp.Expr]:
-    """Laurent coefficients of a singular diagram in the regulator ``eps``.
+) -> sp.Expr:
+    """Finite part of the singular ``diagrams`` of one coefficient.
 
     Entry ``i`` of ``mu + nu`` is shifted by ``2**i * eps``, so every partial
-    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagram, with
-    the filter's exact profile (:meth:`GaussianFilter.exact`), is then expanded
-    by :class:`_ShiftSeries`.  Returns ``{power: coefficient}`` for the
-    powers from the lowest one through zero.  A single diagram may keep
-    negative powers; those cancel only in the sum over all diagrams of the
-    coefficient, which :func:`contraction_coefficient` verifies before
-    keeping the finite part.
+    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagrams, with
+    the filter's exact profile (:meth:`GaussianFilter.exact`), are summed and
+    expanded by one :class:`_ShiftSeries`: a pole of one diagram may cancel
+    only in the sum, and :meth:`_ShiftSeries.finite_part` raises, naming the
+    weight and the tuple, if one survives.
     """
     shifted = [
         w.to_sympy() + 2**i * _EPS for i, w in enumerate(freqs.mu + freqs.nu)
     ]
-    left = len(freqs.mu)
-    expr = _diagram_expr(
-        diagram, shifted[:left], shifted[left:], filter_spec.exact
-    )
-    kernel = _ShiftSeries(_EPS)
-    low = kernel.low(expr)
-    return {low + k: coeff for k, coeff in enumerate(kernel.laurent(expr, 1))}
+    mu, nu = shifted[: len(freqs.mu)], shifted[len(freqs.mu) :]
+    exprs = [_diagram_expr(d, mu, nu, filter_spec.exact) for d in diagrams]
+    total = sp.Add(*exprs, evaluate=False)
+    labels = (", ".join(map(str, ws)) for ws in (freqs.mu, freqs.nu))
+    where = "C{} at mu=({}), nu=({})".format(freqs.weight, *labels)
+    return _ShiftSeries(_EPS).finite_part(total, where)
 
 
 def _truncated_product(x: list, y: list, n: int) -> list:
@@ -205,13 +201,34 @@ class _ShiftSeries:
     - sums and products combine with :func:`_truncated_product`.
 
     ``low(expr)`` is a lower bound of the valuation (exact for an inverted
-    sum).  Results are memoised for the lifetime of one instance.
+    sum) and records which expressions are free of the shift.  Results are
+    memoised for the lifetime of one instance.
     """
 
     def __init__(self, shift: sp.Symbol):
         self.shift = shift
         self._low: dict = {}
+        self._free: set = set()
         self._laurent: dict = {}
+
+    def finite_part(self, expr: sp.Expr, where: str) -> sp.Expr:
+        """The ``shift**0`` coefficient of ``expr``, its limit at zero shift;
+        :class:`UnresolvedSingularityError` names ``where`` if a factor has no
+        series or a negative power does not vanish (the highest is named)."""
+        try:
+            low = self.low(expr)
+            coeffs = self.laurent(expr, 1)
+        except _NotExpandable as exc:
+            raise UnresolvedSingularityError(
+                f"no regulated limit: {exc} for {where}"
+            ) from None
+        for power in range(-1, low - 1, -1):
+            if not _vanishes(coeffs[power - low]):
+                raise UnresolvedSingularityError(
+                    f"regulator poles survive: the limit diverges "
+                    f"(shift^{power}) for {where}"
+                )
+        return coeffs[-low] if low <= 0 else sp.Integer(0)
 
     def low(self, expr: sp.Expr) -> int:
         hit = self._low.get(expr)
@@ -221,6 +238,7 @@ class _ShiftSeries:
 
     def _compute_low(self, expr: sp.Expr) -> int:
         if not expr.has(self.shift):
+            self._free.add(expr)
             return 0
         if expr == self.shift:
             return 1
@@ -256,7 +274,7 @@ class _ShiftSeries:
 
     def _compute(self, expr: sp.Expr, n: int) -> list:
         zeros = [sp.Integer(0)] * (n - 1)
-        if not expr.has(self.shift):
+        if expr in self._free:
             return [expr] + zeros
         if expr == self.shift or (expr.is_Pow and expr.base == self.shift):
             return [sp.Integer(1)] + zeros
@@ -271,7 +289,7 @@ class _ShiftSeries:
         if expr.is_Mul:
             const, varying = [], []
             for arg in expr.args:
-                (varying if arg.has(self.shift) else const).append(arg)
+                (const if arg in self._free else varying).append(arg)
             out = [sp.Mul(*const)] + zeros
             for factor in varying:
                 out = _truncated_product(
@@ -319,9 +337,8 @@ def contraction_coefficient(
 
     Results are memoized per frequency tuple on the filter instance
     (:attr:`GaussianFilter.coefficients`), so they live as long as the filter.
-    Singular diagrams are summed as truncated Laurent series in the
-    regulator; surviving negative powers raise
-    :class:`UnresolvedSingularityError`, otherwise the finite part is exact.
+    Singular diagrams go through :func:`regularize_singular`, which raises
+    :class:`UnresolvedSingularityError` if their limit does not exist.
     """
     memo = filter_spec.coefficients
     hit = memo.get(freqs)
@@ -333,26 +350,16 @@ def contraction_coefficient(
 def _compute_coefficient(
     freqs: FrequencyTuple, filter_spec: GaussianFilter
 ) -> sp.Expr:
-    left, right = freqs.weight
-    regular_total = sp.Integer(0)
-    laurent: dict[int, sp.Expr] = {}
-    for diagram in enumerate_diagrams(left, right):
+    total = sp.Integer(0)
+    singular = []
+    for diagram in enumerate_diagrams(*freqs.weight):
         try:
-            regular_total += diagram_contribution(diagram, freqs, filter_spec)
+            total += diagram_contribution(diagram, freqs, filter_spec)
         except ZeroDivisionError:
-            terms = regularize_singular(diagram, freqs, filter_spec)
-            for power, coeff in terms.items():
-                laurent[power] = laurent.get(power, sp.Integer(0)) + coeff
-    poles = [
-        (power, laurent[power])
-        for power in sorted((p for p in laurent if p < 0), reverse=True)
-        if not _vanishes(laurent[power])
-    ]
-    if poles:
-        raise UnresolvedSingularityError(
-            f"regulator poles survive in C{freqs.weight}: {poles}"
-        )
-    return sp.expand(regular_total + laurent.get(0, sp.Integer(0)))
+            singular.append(diagram)
+    if singular:
+        total += regularize_singular(singular, freqs, filter_spec)
+    return sp.expand(total)
 
 
 def _vanishes(expr: sp.Expr) -> bool:

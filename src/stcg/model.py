@@ -26,9 +26,7 @@ import sympy as sp
 
 from .contraction import (
     FrequencyTuple,
-    UnresolvedSingularityError,
     _is_plain_product,
-    _NotExpandable,
     _ShiftSeries,
     _vanishes,
     contraction_coefficient,
@@ -243,9 +241,10 @@ def parse_quantity(text) -> float:
     Frequencies are angular (rad/s): a Hz-family unit gives cycles/s, and
     the explicit ``2pi*`` prefix multiplies by 2*pi -- never implicitly.
     Times use second-family units.  Bare numbers pass through.  A value
-    that is not finite (``"1e400ns"``) is rejected.
+    that is not finite (``"1e400ns"``) and a ``bool`` (parsed as text) are
+    rejected.
     """
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         value = float(text)
     else:
         match = _QUANTITY_RE.match(str(text))
@@ -475,13 +474,13 @@ def _ramp_limit(groups: Mapping, regulator: str | None):
     """Take the regulator -> 0 limit groupwise.
 
     ``groups`` maps a merge key to a list of ``(coeff, shift_multiple)``
-    pairs.  The combined coefficient including the residual phase
-    ``exp(-i*m*shift*t)`` is expanded as a truncated Laurent series in the
-    shift (:class:`stcg.contraction._ShiftSeries`) and the constant term
-    kept, multiplied out by :func:`_expanded_terms`; a negative power that
-    does not vanish means the ramp limit does not exist.  Without a
-    regulator the shift is a ``Dummy`` that no coefficient contains, so
-    each group is its own constant term.  Zero results are dropped.
+    pairs.  The limit of the combined coefficient, residual phase
+    ``exp(-i*m*shift*t)`` included, is its finite part in the shift
+    (:meth:`stcg.contraction._ShiftSeries.finite_part`, which names the term
+    if the limit does not exist), multiplied out by :func:`_expanded_terms`.
+    Without a regulator the shift is a ``Dummy`` that no coefficient
+    contains, so each group is its own constant term.  Zero results are
+    dropped.
     """
     shift = sp.Symbol(regulator, real=True) if regulator else sp.Dummy()
     kernel = _ShiftSeries(shift)
@@ -495,19 +494,8 @@ def _ramp_limit(groups: Mapping, regulator: str | None):
             ),
             evaluate=False,
         )
-        try:
-            low = kernel.low(combined)
-            coeffs = kernel.laurent(combined, 1)
-        except _NotExpandable as exc:
-            raise UnresolvedSingularityError(
-                f"ramp limit: {exc} for term {key}"
-            ) from None
-        for power in range(-1, low - 1, -1):
-            if not _vanishes(coeffs[power - low]):
-                raise UnresolvedSingularityError(
-                    f"ramp limit diverges (shift^{power}) for term {key}"
-                )
-        value = sp.Add(*_expanded_terms(coeffs[-low])) if low <= 0 else 0
+        limit = kernel.finite_part(combined, f"term {key}")
+        value = sp.Add(*_expanded_terms(limit))
         if value != 0:
             out[key] = value
     return out

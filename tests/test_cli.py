@@ -395,6 +395,20 @@ class TestExitCodes:
         assert main(args) == 3
         assert "repeat a column name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--initial", "fock(0)*e", "--t1", "0.1ns",
+             "--samples", "3"],
+            ["derive", "--order", "1", "--threshold", "1.0"],
+        ],
+        ids=["simulate", "derive"],
+    )
+    def test_validation_error_on_repeated_param(self, args, model_path, capsys):
+        code = main([*args, "--model", model_path, "--params", "g=1GHz,g=2GHz"])
+        assert code == 3
+        assert "--params names 'g' more than once" in capsys.readouterr().err
+
     def test_validation_error_on_repeated_compare_column(
         self, tmp_path, capsys
     ):
@@ -640,6 +654,36 @@ class TestSimulateAndCompare:
             ) == 0
         assert main(["compare", "--ref", str(a), "--test", str(b)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "times,code",
+        [("0,1.000009e-09,2.000018e-09", 3), ("0,1e-09,2.000000000001e-09", 0)],
+        ids=["9e-6-apart", "5e-13-apart"],
+    )
+    def test_compare_grid_tolerance(self, times, code, tmp_path, capsys):
+        # Times are written to 12 significant digits; grids must agree to
+        # 1e-9 of the largest |t|.
+        ref, test = tmp_path / "ref.csv", tmp_path / "test.csv"
+        ref.write_text("t,x\n0,1\n1e-09,2\n2e-09,3\n")
+        rows = zip(times.split(","), "123")
+        test.write_text("t,x\n" + "".join(f"{t},{x}\n" for t, x in rows))
+        assert main(["compare", "--ref", str(ref), "--test", str(test)]) == code
+        if code:
+            assert "time grids differ" in capsys.readouterr().err
+        else:
+            assert json.loads(capsys.readouterr().out)["x"]["rms"] == 0.0
+
+    @pytest.mark.parametrize("bad", ["ref", "test"])
+    def test_compare_rejects_non_finite(self, bad, tmp_path, capsys):
+        paths = {}
+        for name in ("ref", "test"):
+            paths[name] = tmp_path / f"{name}.csv"
+            value = "nan" if name == bad else "2"
+            paths[name].write_text(f"t,x\n0,1\n1e-09,{value}\n")
+        args = ["compare", "--ref", str(paths["ref"]), "--test",
+                str(paths["test"])]
+        assert main(args) == 3
+        assert "not finite" in capsys.readouterr().err
 
     def test_default_observables(self, model_path, capsys):
         assert main(

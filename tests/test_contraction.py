@@ -10,6 +10,7 @@ from stcg.contraction import (
     FrequencyTuple,
     UnresolvedSingularityError,
     _diagram_expr,
+    _ShiftSeries,
     bubble_factor_oracle,
     contraction_coefficient,
     diagram_contribution,
@@ -155,6 +156,29 @@ def _singular_diagrams(freqs):
             yield diagram
 
 
+def _shifted_diagrams(freqs, filter_spec):
+    """``(diagram, expression)`` per singular diagram, entry i of
+    ``mu + nu`` shifted by ``2**i`` times the regulator of
+    :func:`regularize_singular`, on the filter's exact profile."""
+    shifted = [
+        w.to_sympy() + 2**i * contraction._EPS
+        for i, w in enumerate(freqs.mu + freqs.nu)
+    ]
+    left = len(freqs.mu)
+    return [
+        (d, _diagram_expr(d, shifted[:left], shifted[left:], filter_spec.exact))
+        for d in _singular_diagrams(freqs)
+    ]
+
+
+def _laurent(expr):
+    """``{power: coefficient}`` of ``expr`` through ``eps**0``, from a
+    fresh kernel."""
+    kernel = _ShiftSeries(contraction._EPS)
+    low = kernel.low(expr)
+    return {low + k: c for k, c in enumerate(kernel.laurent(expr, 1))}
+
+
 class TestLaurentKernel:
     @pytest.mark.parametrize("tau", [TAU, 0.26e-9], ids=["symbolic", "numeric"])
     @pytest.mark.parametrize(
@@ -165,8 +189,8 @@ class TestLaurentKernel:
         checked = 0
         for mu, nu in SINGULAR_TUPLES[weight]:
             freqs = FrequencyTuple(mu, nu)
-            for diagram in _singular_diagrams(freqs):
-                terms = regularize_singular(diagram, freqs, filt)
+            for diagram, expr in _shifted_diagrams(freqs, filt):
+                terms = _laurent(expr)
                 assert not any(c.has(sp.Float) for c in terms.values())
                 assert max(terms) == 0 and min(terms) >= -sum(weight)
                 reference = _series_reference(diagram, freqs, filt)
@@ -176,22 +200,40 @@ class TestLaurentKernel:
                 checked += 1
         assert checked >= len(SINGULAR_TUPLES[weight])
 
+    @pytest.mark.parametrize(
+        "weight", sorted(SINGULAR_TUPLES), ids=lambda w: f"{w[0]}-{w[1]}"
+    )
+    def test_one_kernel_sums_diagram_finite_parts(self, weight):
+        # One kernel over the unevaluated sum of a coefficient's singular
+        # diagrams gives exactly the sum of their separate eps**0 parts.
+        for mu, nu in SINGULAR_TUPLES[weight]:
+            freqs = FrequencyTuple(mu, nu)
+            pairs = _shifted_diagrams(freqs, GAUSS)
+            parts = sp.Add(*(_laurent(expr)[0] for _, expr in pairs))
+            got = regularize_singular([d for d, _ in pairs], freqs, GAUSS)
+            assert got == parts, freqs
+
     def test_single_diagram_pole_cancels_in_sum(self, monkeypatch):
         freqs = FrequencyTuple((Z, Z))
         residues = [
-            sp.expand(regularize_singular(d, freqs, GAUSS).get(-1, 0))
-            for d in _singular_diagrams(freqs)
+            sp.expand(_laurent(expr).get(-1, 0))
+            for _, expr in _shifted_diagrams(freqs, GAUSS)
         ]
         assert any(r != 0 for r in residues)
         assert sp.expand(sum(residues)) == 0
         assert contraction_coefficient(freqs, GAUSS) == 0
 
-        # Without the partner diagram the pole survives and is reported.
+        # Without the partner diagram the pole survives and is reported,
+        # with the weight and the frequency tuple.
         lone = next(_singular_diagrams(freqs))
         monkeypatch.setattr(
             contraction, "enumerate_diagrams", lambda left, right: (lone,)
         )
-        with pytest.raises(UnresolvedSingularityError, match="poles survive"):
+        with pytest.raises(
+            UnresolvedSingularityError,
+            match=r"poles survive: .* \(shift\^-1\) for C\(2, 0\) "
+            r"at mu=\(0, 0\), nu=\(\)$",
+        ):
             contraction._compute_coefficient(freqs, GAUSS)
 
 

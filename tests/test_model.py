@@ -77,6 +77,21 @@ class TestQuantities:
         with pytest.raises(ValueError, match="must be finite"):
             parse_quantity(text)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool(self, value):
+        with pytest.raises(ValueError, match=f"cannot parse quantity {value}"):
+            parse_quantity(value)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"symbols": {"wc": None, "wa": None, "g": True}},
+         {"filter": {"kind": "gaussian", "tau": True}}],
+        ids=["symbol", "tau"],
+    )
+    def test_model_rejects_bool_quantity(self, edit):
+        with pytest.raises(ValueError, match="cannot parse quantity True"):
+            load_model(dict(RABI_DOC, **edit))
+
 
 class TestLoadModel:
     def test_round_trip_terms(self):
@@ -445,7 +460,11 @@ class TestRampLimitKernel:
     def test_unsupported_factor_named(self):
         key = ("k", FreqExpr.zero())
         pieces = [(sp.sqrt(DELTA), Fraction(0))]
-        with pytest.raises(UnresolvedSingularityError, match="for term"):
+        with pytest.raises(
+            UnresolvedSingularityError,
+            match=r"^no regulated limit: cannot expand sqrt\(delta\) in delta "
+            rf"for term {re.escape(str(key))}$",
+        ):
             smodel._ramp_limit({key: pieces}, "delta")
 
 
