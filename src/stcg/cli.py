@@ -233,6 +233,11 @@ def _read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    width = data.shape[1] if len(data) else 0
+    if width != len(header):
+        raise ValueError(
+            f"{path}: {len(header)} column name(s), {width} in rows"
+        )
     return header, data
 
 

@@ -147,17 +147,16 @@ def regularize_singular(
     """Finite part of the singular ``diagrams`` of one coefficient.
 
     Entry ``i`` of ``mu + nu`` is shifted by ``2**i * eps``, so every partial
-    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagrams, with
-    the filter's exact profile (:meth:`GaussianFilter.exact`), are summed and
-    expanded by one :class:`_ShiftSeries`: a pole of one diagram may cancel
-    only in the sum, and :meth:`_ShiftSeries.finite_part` raises, naming the
-    weight and the tuple, if one survives.
+    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagrams are
+    summed and expanded by one :class:`_ShiftSeries`: a pole of one diagram
+    may cancel only in the sum, and :meth:`_ShiftSeries.finite_part`
+    raises, naming the weight and the tuple, if one survives.
     """
     shifted = [
         w.to_sympy() + 2**i * _EPS for i, w in enumerate(freqs.mu + freqs.nu)
     ]
     mu, nu = shifted[: len(freqs.mu)], shifted[len(freqs.mu) :]
-    exprs = [_diagram_expr(d, mu, nu, filter_spec.exact) for d in diagrams]
+    exprs = [_diagram_expr(d, mu, nu, filter_spec) for d in diagrams]
     total = sp.Add(*exprs, evaluate=False)
     labels = (", ".join(map(str, ws)) for ws in (freqs.mu, freqs.nu))
     where = "C{} at mu=({}), nu=({})".format(freqs.weight, *labels)

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -241,11 +242,11 @@ def parse_quantity(text) -> float:
     Frequencies are angular (rad/s): a Hz-family unit gives cycles/s, and
     the explicit ``2pi*`` prefix multiplies by 2*pi -- never implicitly.
     Times use second-family units.  Bare numbers pass through.  A value
-    that is not finite (``"1e400ns"``) and a ``bool`` (parsed as text) are
-    rejected.
+    that is not finite (``"1e400ns"``, or an integer too large for a float)
+    and a ``bool`` (parsed as text) are rejected.
     """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        value = float(text)
+        value = text
     else:
         match = _QUANTITY_RE.match(str(text))
         if not match:
@@ -258,9 +259,10 @@ def parse_quantity(text) -> float:
             value *= 2.0 * 3.141592653589793
         if (match.group("sign") or "").strip() == "-":
             value = -value
-    if not math.isfinite(value):
+    # An int is compared exactly: one too large for a float is rejected.
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"quantity {text!r} must be finite, got {value}")
-    return value
+    return float(value)
 
 
 def _coupling_locals(names: Iterable[str]) -> dict:
@@ -833,7 +835,7 @@ def load_effective(document) -> EffectiveModel:
         if (
             isinstance(value, bool)
             or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
+            or not abs(value) <= sys.float_info.max
         ):
             raise ValueError(
                 f'effective model param "{name}" must be a finite number, '

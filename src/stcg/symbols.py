@@ -8,7 +8,6 @@ which is why floats are not allowed in :class:`FreqExpr`.
 
 from __future__ import annotations
 
-import numbers
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -30,15 +29,12 @@ TAU = sp.Symbol("tau", positive=True)
 #: Laboratory time.
 TIME = sp.Symbol("t", real=True)
 
-#: Variable of the memoised exact filter profile.
-_PROFILE_VAR = sp.Dummy("x")
-
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 _TERM_RE = re.compile(
     r"""
     (?P<sign>[+-]?)\s*
-    (?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*\*\s*)?   # optional rational prefix
+    (?:(?P<num>\d+)\s*(?:/\s*(?P<den>0*[1-9]\d*))?\s*\*\s*)?  # n/d* with d > 0
     (?P<name>[A-Za-z_][A-Za-z_0-9]*)
     """,
     re.VERBOSE,
@@ -224,47 +220,31 @@ class GaussianFilter:
     """Gaussian coarse-graining window: ``f(w) = exp(-w**2 * tau**2 / 2)``.
 
     ``tau`` may be the symbol :data:`TAU` (default) or an explicit number.
-    A filter also keeps what is derived from it: its profile in exact
-    arithmetic (:meth:`exact`, made once, for the regulated limits of
-    singular diagrams) and the contraction coefficients computed with it
-    (:attr:`coefficients`).
+    A numeric ``tau`` is held exactly: a float becomes the rational of its
+    15-digit decimal (``2e-10`` gives ``1/5000000000``), so that the
+    filter values of one coefficient, and the series expanded from them,
+    cancel exactly.  A filter also keeps the contraction coefficients
+    computed with it (:attr:`coefficients`).
     """
 
     def __init__(self, tau=TAU):
-        if isinstance(tau, numbers.Real) and not isinstance(tau, numbers.Integral):
-            tau = sp.Float(tau)
-        else:
-            tau = sp.sympify(tau)
+        tau = sp.sympify(tau)
         if tau.is_number and not tau.is_finite:
             raise ValueError(f"filter time scale must be finite, got {tau}")
         if tau.is_number and tau.is_negative:
             raise ValueError("filter time scale must be non-negative")
+        if tau.has(sp.Float):
+            tau = sp.nsimplify(tau, rational=True)
         self.tau = tau
-        self._exact: sp.Expr | None = None
         #: Contraction coefficients computed with this filter, keyed by
         #: frequency tuple (see
         #: :func:`stcg.contraction.contraction_coefficient`).
         self.coefficients: dict = {}
 
-    def profile(self, freq: sp.Expr) -> sp.Expr:
-        return sp.exp(-(freq**2) * self.tau**2 / 2)
-
-    def exact(self, freq: sp.Expr) -> sp.Expr:
-        """The profile at ``freq`` in exact arithmetic.
-
-        Float constants of the profile (a numeric ``tau``) are made exact
-        rationals once per filter, so that series expanded from it cancel
-        exactly.
-        """
-        if self._exact is None:
-            g = self.profile(_PROFILE_VAR)
-            self._exact = sp.nsimplify(g, rational=True) if g.has(sp.Float) else g
-        return self._exact.xreplace({_PROFILE_VAR: freq})
-
     def __call__(self, freq) -> sp.Expr:
         if isinstance(freq, FreqExpr):
             freq = freq.to_sympy()
-        return self.profile(sp.sympify(freq))
+        return sp.exp(-(sp.sympify(freq) ** 2) * self.tau**2 / 2)
 
     def __repr__(self):
         return f"GaussianFilter(tau={self.tau})"

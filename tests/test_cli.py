@@ -346,6 +346,10 @@ class TestExitCodes:
             ("rabi_order1.json", ("params", "g"), True),
             ("rabi_order1.json", ("params", "g"), "2pi*50MHz"),
             ("rabi_order1.json", ("params", "g"), float("inf")),
+            pytest.param(
+                "rabi_order1.json", ("params", "g"), 10**400,
+                id="rabi_order1.json-params-g-huge-int",
+            ),
         ],
     )
     def test_validation_error_on_wrong_typed_effective_field(
@@ -418,6 +422,27 @@ class TestExitCodes:
         assert main(["compare", "--ref", str(ref), "--test", str(test)]) == 3
         assert "repeated column name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"symbols": {"w": 10**400, "g": "2pi*50MHz"}}, "must be finite"),
+            ({"filter": {"kind": "gaussian", "tau": 10**400}},
+             "must be finite"),
+            ({"terms": [
+                {"coupling": "g", "frequency": "1/0*w", "operator": "a'"},
+                {"coupling": "g", "frequency": "-1/0*w", "operator": "a"},
+            ]}, "cannot parse frequency expression '1/0*w'"),
+        ],
+        ids=["huge-symbol", "huge-tau", "zero-denominator"],
+    )
+    def test_validation_error_on_bad_model_number(
+        self, edit, message, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(JC_DOC, **edit)))
+        assert main(["derive", "--model", str(path), "--order", "1"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_validation_error_on_non_finite_time(self, capsys):
         code = main(
             ["simulate", "--preset", "rabi", "--initial", "coherent(1)*g",
@@ -464,21 +489,21 @@ class TestDerive:
         assert "order" in out.lower() or "H" in out
 
     def test_rabi_order1_matches_stored_export(self, tmp_path):
-        # the order-1 rabi model the benchmark integrates, byte for byte
+        # the order-1 rabi model, byte for byte
         out = tmp_path / "rabi1.json"
         assert main(
             ["derive", "--preset", "rabi", "--order", "1", "-o", str(out)]
         ) == 0
-        stored = BENCH_DATA / "rabi_order1.json"
+        stored = TEST_DATA / "rabi_order1.json"
         assert out.read_bytes() == stored.read_bytes()
 
     def test_rabi_order3_matches_stored_export(self, tmp_path):
-        # the order-3 rabi model the benchmark integrates, byte for byte
+        # the order-3 rabi model, byte for byte
         out = tmp_path / "rabi3.json"
         assert main(
             ["derive", "--preset", "rabi", "--order", "3", "-o", str(out)]
         ) == 0
-        stored = BENCH_DATA / "rabi_order3.json"
+        stored = TEST_DATA / "rabi_order3.json"
         assert out.read_bytes() == stored.read_bytes()
 
     def test_parametron_order1_matches_stored_export(self, tmp_path):
@@ -498,7 +523,7 @@ class TestDerive:
             cwd=REPO, env=env, capture_output=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr.decode()
-        stored = BENCH_DATA / "rabi_order1.json"
+        stored = TEST_DATA / "rabi_order1.json"
         assert run.stdout == stored.read_bytes()
 
     def test_preset_derive(self, capsys):
@@ -684,6 +709,23 @@ class TestSimulateAndCompare:
                 str(paths["test"])]
         assert main(args) == 3
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,width",
+        [("t,x,y\n0,1\n1e-09,2\n", 2), ("t,x,y\n", 0)],
+        ids=["narrow-rows", "header-only"],
+    )
+    def test_compare_rejects_header_width_mismatch(
+        self, text, width, tmp_path, capsys
+    ):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(text)
+        good.write_text("t,x,y\n0,1,2\n1e-09,2,3\n")
+        for ref, test in ((bad, good), (good, bad)):
+            args = ["compare", "--ref", str(ref), "--test", str(test)]
+            assert main(args) == 3
+            err = capsys.readouterr().err
+            assert f"3 column name(s), {width} in rows" in err
 
     def test_default_observables(self, model_path, capsys):
         assert main(

@@ -129,8 +129,6 @@ def _series_reference(diagram, freqs, filter_spec):
     ]
     left = len(freqs.mu)
     expr = _diagram_expr(diagram, shifted[:left], shifted[left:], filter_spec)
-    if expr.has(sp.Float):
-        expr = sp.nsimplify(expr, rational=True)
     series = sp.expand(expr.series(EPS, 0, 1).removeO())
     # Pull the regulator out of unexpanded Add denominators so that
     # coeff() sees every power of it.
@@ -159,14 +157,14 @@ def _singular_diagrams(freqs):
 def _shifted_diagrams(freqs, filter_spec):
     """``(diagram, expression)`` per singular diagram, entry i of
     ``mu + nu`` shifted by ``2**i`` times the regulator of
-    :func:`regularize_singular`, on the filter's exact profile."""
+    :func:`regularize_singular`."""
     shifted = [
         w.to_sympy() + 2**i * contraction._EPS
         for i, w in enumerate(freqs.mu + freqs.nu)
     ]
     left = len(freqs.mu)
     return [
-        (d, _diagram_expr(d, shifted[:left], shifted[left:], filter_spec.exact))
+        (d, _diagram_expr(d, shifted[:left], shifted[left:], filter_spec))
         for d in _singular_diagrams(freqs)
     ]
 
@@ -177,6 +175,23 @@ def _laurent(expr):
     kernel = _ShiftSeries(contraction._EPS)
     low = kernel.low(expr)
     return {low + k: c for k, c in enumerate(kernel.laurent(expr, 1))}
+
+
+class TestNumericTau:
+    @pytest.mark.parametrize(
+        "weight", sorted(SINGULAR_TUPLES), ids=lambda w: f"{w[0]}-{w[1]}"
+    )
+    def test_singular_coefficient_is_the_symbolic_one(self, weight):
+        # At a numeric tau every singular coefficient holds no Float and is
+        # the symbolic-tau coefficient with the rational tau put in.
+        tau = sp.Rational(13, 50_000_000_000)
+        filt = GaussianFilter(0.26e-9)
+        for mu, nu in SINGULAR_TUPLES[weight]:
+            freqs = FrequencyTuple(mu, nu)
+            got = contraction_coefficient(freqs, filt)
+            assert not got.has(sp.Float), freqs
+            want = contraction_coefficient(freqs, GAUSS).subs(TAU, tau)
+            assert sp.expand(got - want) == 0, freqs
 
 
 class TestLaurentKernel:

@@ -24,7 +24,8 @@ from stcg.model import (
     HamiltonianTermSpec,
 )
 from stcg.operators import ModeSpec, OperatorSum, parse_operator
-from stcg.symbols import TAU, TIME, FreqExpr, GaussianFilter
+from stcg.presets import get_preset
+from stcg.symbols import TAU, TIME, FreqExpr, GaussianFilter, scalar_eval
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_DATA = REPO / "perfbench" / "data"
@@ -71,7 +72,9 @@ class TestQuantities:
             parse_quantity("fast")
 
     @pytest.mark.parametrize(
-        "text", ["1e400ns", "-2pi*1e308GHz", math.inf, math.nan]
+        "text",
+        ["1e400ns", "-2pi*1e308GHz", math.inf, math.nan,
+         pytest.param(10**400, id="huge-int")],
     )
     def test_rejects_non_finite(self, text):
         with pytest.raises(ValueError, match="must be finite"):
@@ -385,12 +388,7 @@ class TestRampLimitKernel:
                     ids=["symbolic", "numeric"])
     def drive_groups(self, request):
         groups, model = _merged_groups(RAMPED_DRIVE_DOC, 2, request.param)
-        # Exact comparison needs exact pieces: numeric tau enters as Floats.
-        exact = {
-            key: [(sp.nsimplify(c, rational=True), m) for c, m in pieces]
-            for key, pieces in groups.items()
-        }
-        return exact, model.modes
+        return groups, model.modes
 
     def _selected(self, modes):
         a, ad = _key("a", modes), _key("a'", modes)
@@ -633,8 +631,11 @@ class TestPruneExport:
             # 8 of its 67 coefficients mix Float and Rational exponentials
             # and reprint in another term order
             (BENCH_DATA / "rabi_order3.json", False),
+            (TEST_DATA / "rabi_order1.json", True),
+            (TEST_DATA / "rabi_order3.json", True),
         ],
-        ids=["rabi_order1", "parametron_order1", "rabi_order3"],
+        ids=["rabi_order1", "parametron_order1", "rabi_order3",
+             "exact_rabi_order1", "exact_rabi_order3"],
     )
     def test_json_round_trip(self, path, exact):
         text = path.read_text()
@@ -648,6 +649,12 @@ class TestPruneExport:
             for got, want in zip(back[key], stored[key]):
                 assert sp.sympify(got.pop(value)) == sp.sympify(want.pop(value))
         assert back == stored
+
+    def test_load_effective_names_zero_denominator(self):
+        doc = json.loads((TEST_DATA / "rabi_order1.json").read_text())
+        doc["hamiltonian"][0]["frequency"] = "-2/0*w"
+        with pytest.raises(ValueError, match=r"'-2/0\*w'"):
+            load_effective(doc)
 
     @pytest.mark.parametrize(
         "coeff",
@@ -668,3 +675,68 @@ class TestPruneExport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export_model(self._eff(), "yaml")
+
+
+#: Times, in seconds, at which two generators are compared.
+_COMPARE_TIMES = (0.0, 1.3e-9, 7.7e-9)
+
+
+def _derive(doc, order):
+    return export_model(assemble(load_model(doc), order))
+
+
+def _generator(doc) -> dict:
+    """``{term key: coefficient}`` of an effective model document."""
+    eff = load_effective(doc)
+    out = {("H", t.freq, t.op): t.coeff for t in eff.hamiltonian}
+    out.update(
+        {("D", t.freq, t.left, t.right): t.rate for t in eff.dissipators}
+    )
+    return out
+
+
+class TestExactExports:
+    @pytest.mark.parametrize(
+        "preset,order",
+        [("rabi", 1), ("duffing", 1), ("parametron", 1), ("rabi", 2),
+         ("duffing", 2)],
+    )
+    def test_fresh_export_is_float_free_and_round_trips(self, preset, order):
+        doc = _derive(get_preset(preset), order)
+        assert not any(v.has(sp.Float) for v in _generator(doc).values())
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        back = export_model(load_effective(text))
+        assert json.dumps(back, indent=2, sort_keys=True) + "\n" == text
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_benchmark_export_is_the_fresh_generator(self, order):
+        # The benchmark's stored rabi models keep an older, Float text of
+        # the same generator: same terms, equal values at the preset point.
+        doc = json.loads((BENCH_DATA / f"rabi_order{order}.json").read_text())
+        stored = _generator(doc)
+        fresh = _generator(_derive(get_preset("rabi"), order))
+        assert stored.keys() == fresh.keys()
+        for key, value in stored.items():
+            for t in _COMPARE_TIMES:
+                point = dict(doc["params"], t=t)
+                want = scalar_eval(value, point)
+                got = scalar_eval(fresh[key], point)
+                assert abs(got - want) <= 1e-14 * abs(want), (key, t)
+
+    @pytest.mark.slow
+    def test_parametron_order2_numeric_tau_is_the_symbolic_one(self):
+        # Float and Rational forms of one exponential used to leave 9
+        # residue terms of rounding error (at most 1e-43 here) that the
+        # symbolic-tau derivation does not have.
+        doc = get_preset("parametron")
+        numeric = _derive(doc, 2)
+        symbolic = dict(doc, filter={"kind": "gaussian"})
+        symbolic = _generator(_derive(symbolic, 2))
+        got = _generator(numeric)
+        assert got.keys() == symbolic.keys()
+        for key, value in got.items():
+            for t in _COMPARE_TIMES:
+                point = dict(numeric["params"], t=t)
+                want = scalar_eval(symbolic[key], point)
+                got = scalar_eval(value, point)
+                assert abs(got - want) <= 1e-14 * abs(want), (key, t)

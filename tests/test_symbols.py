@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,11 @@ class TestFreqExpr:
         assert FreqExpr.parse("0").is_zero
         with pytest.raises(ValueError):
             FreqExpr.parse("wa + + wb")
+
+    @pytest.mark.parametrize("text", ["1/0*w", "wa - 3/0*wb"])
+    def test_parse_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            FreqExpr.parse(text)
 
     @given(freq_exprs)
     def test_str_round_trip(self, f):
@@ -78,6 +84,15 @@ class TestGaussianFilter:
         f = GaussianFilter(0)
         assert sp.simplify(f(FreqExpr.symbol("w")) - 1) == 0
 
+    def test_rational_tau_kept(self):
+        tau = sp.Rational(13, 50) / 10**9
+        assert GaussianFilter(tau).tau is tau
+
+    def test_float_tau_made_rational(self):
+        tau = GaussianFilter(0.26e-9).tau
+        assert isinstance(tau, sp.Rational)
+        assert tau == sp.Rational(13, 50_000_000_000)
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             GaussianFilter(-1.0)
@@ -95,13 +110,13 @@ class TestGaussianFilter:
         "tau", [TAU, 0.26e-9, 0], ids=["symbolic", "numeric", "zero"]
     )
     def test_taylor_coefficients(self, tau):
-        # the exact profile, expanded by the series kernel, gives the
-        # Taylor coefficients g^(k)(w)/k! with no Float left in them
+        # the profile, expanded by the series kernel, gives the Taylor
+        # coefficients g^(k)(w)/k! with no Float left in them
         f = GaussianFilter(tau)
         ws, eps = sp.Symbol("w", real=True), sp.Symbol("eps")
-        profile = sp.nsimplify(f.profile(ws + eps), rational=True)
+        profile = f(ws + eps)
         ref = sp.expand(profile.series(eps, 0, 5).removeO())
-        coeffs = _ShiftSeries(eps).laurent(f.exact(ws + eps), 5)
+        coeffs = _ShiftSeries(eps).laurent(profile, 5)
         assert len(coeffs) == 5
         assert not any(c.has(sp.Float) for c in coeffs)
         for k, c in enumerate(coeffs):
