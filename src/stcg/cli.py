@@ -232,8 +232,13 @@ def _render_csv(times, columns) -> str:
 def _read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    width = data.shape[1] if len(data) else 0
+        # np.loadtxt warns on a file with no data rows; such a file has no
+        # width to compare
+        rows = [line for line in fh if line.split("#")[0].strip()]
+    data = np.empty((0, 0))
+    if rows:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    width = data.shape[1]
     if width != len(header):
         raise ValueError(
             f"{path}: {len(header)} column name(s), {width} in rows"

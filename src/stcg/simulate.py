@@ -41,12 +41,20 @@ whose generator is trace-free, RK4 on vectors loses norm (about
 theta^6/72 a step), so the vector path runs one sample interval at a
 time and repeats an interval at twice the steps, keeping the finer
 stride, while ``sum |psi|^2`` is more than ``TRACE_TOL / 2`` from its
-start and fell over the interval by more than ``TRACE_TOL / 2 /
-(n_samples - 1)``.  ``Trajectory.meta["rhs"]`` records the path taken
-(``vector`` or ``hermitian``) and ``meta["steps"]`` the RK4 steps,
-repeated intervals included.  Both paths share one RK4 loop with stage
-times ``t0 + n*dt``, work in preallocated arrays and write samples into
-a preallocated trajectory.
+start and changed over the interval, by a loss or a gain, by more than
+``TRACE_TOL / 2 / (n_samples - 1)``.  ``Trajectory.meta["rhs"]`` records
+the path taken (``vector`` or ``hermitian``) and ``meta["steps"]`` the
+RK4 steps, repeated intervals included.  Both paths share one RK4 loop
+with stage times ``t0 + n*dt``, work in preallocated arrays and write
+samples into a preallocated trajectory.
+
+The default step resolves only the frequencies of terms that can move
+the state: an oscillating term whose micro-motion amplitude is at most
+``MICROMOTION_TOL`` (the ±4w terms of the order-3 rabi model, which the
+filter has suppressed) is evaluated at every stage, but its period does
+not set the step.  ``meta["omega"]`` records the frequency that set it
+and ``meta["unresolved"]`` the terms below the tolerance.  Each distinct
+operator's matrix is built once per run.
 
 Coarse-graining keeps a factored trajectory factored while that is the
 smaller form: a Gaussian average of K rank-r samples is the product of
@@ -85,8 +93,17 @@ __all__ = [
     "rate_decomposition",
 ]
 
-#: Fixed-step rule: at least this many steps per fastest retained period.
+#: Fixed-step rule: at least this many steps per period of the fastest
+#: frequency that sets the step (see :data:`MICROMOTION_TOL`).
 STEPS_PER_PERIOD = 40
+
+#: Step rule: an oscillating term sets the default step only if its
+#: micro-motion amplitude is above this, ``|c| ||M|| / |omega|`` for an H
+#: term and ``|r| ||L|| ||J|| / |omega|`` for a dissipator, each norm
+#: bounded by ``sqrt(max column sum * max row sum)`` of the entries'
+#: moduli.  A time-dependent coefficient always counts.  A term below it
+#: is still evaluated at every RK4 stage; only its period goes unresolved.
+MICROMOTION_TOL = 1e-9
 
 #: Gaussian kernel support in units of the averaging width.
 KERNEL_SUPPORT = 5.0
@@ -310,10 +327,12 @@ def _coefficient(coeff: sp.Expr, freq: FreqExpr, assignment):
 
 
 def _realize(generator, assignment):
-    """Term tables, the fastest frequency and the dimension.
+    """Term tables, the step frequency (see :func:`_step_frequency`) and the
+    dimension.
 
     Hamiltonian terms are ``(H, coeff)``; dissipators are ``(L, J, JL,
     rate)`` with L and J as COO triplets (see :func:`_coo`) and JL dense.
+    Each distinct operator's matrix and triplet are built once per call.
     Coefficients and rates are :class:`_Coefficient`.  Every term needs
     its conjugate partner (:func:`stcg.model.unpaired_term`, values
     compared by :func:`_conjugates`), so that the generator maps a
@@ -350,15 +369,66 @@ def _realize(generator, assignment):
             f"for the term at frequency {term.freq} with operator(s) "
             f"{', '.join(map(str, ops))}"
         )
-    ham = [(t.op.matrix(assignment), c) for t, c in zip(terms, coeffs)]
+    matrices = {}
+
+    def matrix(op):
+        # one matrix, COO triplet and norm bound per distinct operator: the
+        # order-3 rabi model names 18 operators in 117 places.  The key
+        # compares the terms as written; OperatorSum's own equality expands
+        # their difference in sympy, on every key that shares its monomials.
+        key = op.modes, frozenset(op.terms.items())
+        built = matrices.get(key)
+        if built is None:
+            mat = op.matrix(assignment)
+            rows, cols, values = triplet = _coo(mat)
+            # the largest row and column sums of |M| bound its norm
+            moduli = np.abs(values)
+            bound = math.sqrt(
+                np.bincount(rows, moduli).max(initial=0.0)
+                * np.bincount(cols, moduli).max(initial=0.0)
+            )
+            built = matrices[key] = mat, triplet, bound
+        return built
+
+    ham, sizes = [], []
+    for term, coeff in zip(terms, coeffs):
+        mat, _, bound = matrix(term.op)
+        ham.append((mat, coeff))
+        sizes.append(bound)
     dis = []
     for term, rate in zip(dterms, rates):
-        lmat = term.left.matrix(assignment)
-        jmat = term.right.matrix(assignment)
-        dis.append((_coo(lmat), _coo(jmat), jmat @ lmat, rate))
-    fastest = max((abs(c.omega) for c in coeffs + rates), default=0.0)
+        lmat, lcoo, lbound = matrix(term.left)
+        jmat, jcoo, jbound = matrix(term.right)
+        dis.append((lcoo, jcoo, jmat @ lmat, rate))
+        sizes.append(lbound * jbound)
+    step = _step_frequency(coeffs + rates, sizes)
     dim = int(np.prod([m.dim for m in modes]))
-    return ham, dis, fastest, dim
+    return ham, dis, step, dim
+
+
+def _step_frequency(coeffs: Sequence[_Coefficient], sizes: Sequence[float]):
+    """``(omega, unresolved)``: the frequency the default step resolves and
+    the number of oscillating terms whose micro-motion amplitude ``|c| *
+    size / |omega|`` is at most :data:`MICROMOTION_TOL`, ``size`` bounding
+    the norm of the term's operator(s).
+
+    ``omega`` is the fastest frequency of a term above the tolerance or
+    with a time-dependent coefficient; when no term counts, the fastest of
+    all, and None when no term oscillates.
+    """
+    counted, small = [], []
+    for coeff, size in zip(coeffs, sizes):
+        omega = abs(coeff.omega)
+        if not omega:
+            continue
+        if coeff.body is None and abs(coeff.value) * size / omega <= (
+            MICROMOTION_TOL
+        ):
+            small.append(omega)
+        else:
+            # a time-dependent or non-finite coefficient counts
+            counted.append(omega)
+    return max(counted or small, default=None), len(small)
 
 
 #: Relative mismatch allowed between a time-free term value and the
@@ -643,8 +713,12 @@ def integrate(
 
     ``generator`` is an :class:`EffectiveModel` (coarse-grained master
     equation) or a :class:`ModelSpec` (exact von Neumann).  Without an
-    explicit ``dt`` the step resolves the fastest retained frequency with
-    at least {STEPS_PER_PERIOD} steps per period.  A stored sample whose
+    explicit ``dt`` the step resolves, with at least {STEPS_PER_PERIOD}
+    steps per period, the fastest frequency of a term that can move the
+    state: one whose micro-motion amplitude is above {MICROMOTION_TOL:g} or
+    whose coefficient depends on time (:data:`MICROMOTION_TOL`).  If no
+    oscillating term counts, the fastest of all sets the step, and with no
+    oscillating term it is ``(t1 - t0) / 1000``.  A stored sample whose
     state is not finite, or whose ``|tr rho|`` drifted by more than
     {TRACE_TOL:g}, raises :class:`NumericalGuardError`.
 
@@ -658,18 +732,21 @@ def integrate(
     guards above read ``sum |psi|^2``.  RK4 on vectors loses norm (about
     theta^6/72 a step), so the vector path runs one sample interval at a
     time: an interval that leaves ``sum |psi|^2`` more than ``TRACE_TOL /
-    2`` from its start and lost more than ``TRACE_TOL / 2 / (n_samples -
-    1)`` itself is run again at twice the steps, and the finer stride is
-    kept; a loss that does not shrink as the step halves raises
-    :class:`NumericalGuardError`.  A norm that rose or is not finite marks
-    an unstable step, left to the guard above.  Any other run takes the
+    2`` from its start and changed it by more than ``TRACE_TOL / 2 /
+    (n_samples - 1)`` itself, by a loss or a gain, is run again at twice
+    the steps, and the finer stride is kept; a change that does not shrink
+    as the step halves raises :class:`NumericalGuardError`.  A norm that is
+    not finite is left to the guard above.  Any other run takes the
     Hermitian-half right-hand side of :func:`_generator` and stores dense
     states.
 
     ``Trajectory.meta`` holds ``rhs`` (``"vector"`` or ``"hermitian"``),
     ``steps`` (RK4 steps taken, repeated intervals included), the final
-    ``dt`` and ``stride`` (steps per sample interval), ``jump_records``,
-    ``kind`` and, on the vector path, ``rank`` (r).
+    ``dt`` and ``stride`` (steps per sample interval), ``omega`` (the
+    frequency that set the step, None when ``dt`` was given or no term
+    oscillates), ``unresolved`` (the number of oscillating terms at or
+    below the micro-motion tolerance), ``jump_records``, ``kind`` and, on
+    the vector path, ``rank`` (r).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -683,7 +760,7 @@ def integrate(
     rho0 = np.asarray(rho0)
     if not np.all(np.isfinite(rho0)):
         raise ValueError("initial state has non-finite entries")
-    ham, dis, fastest, dim = _realize(generator, assignment)
+    ham, dis, (omega, unresolved), dim = _realize(generator, assignment)
     if rho0.shape != (dim, dim):
         raise ValueError(
             f"initial state is {rho0.shape}, model dimension is {dim}"
@@ -701,11 +778,12 @@ def integrate(
     # a vector run stores its d x r blocks Psi, a density run its rho
     frames = np.empty((n_samples,) + state.shape, dtype=complex)
     frames[0] = state
-    if dt is None:
-        if fastest > 0:
-            dt = 2 * math.pi / fastest / STEPS_PER_PERIOD
-        else:
-            dt = (t1 - t0) / 1000
+    if dt is not None:
+        omega = None
+    elif omega:
+        dt = 2 * math.pi / omega / STEPS_PER_PERIOD
+    else:
+        dt = (t1 - t0) / 1000
     sample_dt = (t1 - t0) / (n_samples - 1)
     stride = max(1, math.ceil(sample_dt / dt))
     budget = TRACE_TOL / 2 / (n_samples - 1)
@@ -744,6 +822,8 @@ def integrate(
         "dt": dt,
         "stride": stride,
         "steps": steps,
+        "omega": omega,
+        "unresolved": unresolved,
         "rhs": rhs.branch,
         "jump_records": rhs.jump_records,
         "kind": "tcg" if isinstance(generator, EffectiveModel) else "exact",
@@ -788,36 +868,37 @@ def _norm_refined(
 ):
     """Advance the state vectors ``psi`` over sample interval ``sample``
     at ``stride`` steps, doubling the steps until ``sum |psi|^2`` is
-    within ``TRACE_TOL / 2`` of the run's initial ``norm0`` or fell over
-    the interval by at most ``budget``; returns the final stride, the
-    steps taken and the final ``sum |psi|^2``.
+    within ``TRACE_TOL / 2`` of the run's initial ``norm0`` or changed over
+    the interval, by a loss or a gain, by at most ``budget``; returns the
+    final stride, the steps taken and the final ``sum |psi|^2``.
 
     With ``budget = TRACE_TOL / 2 / (n_samples - 1)`` the intervals after
-    the last one accepted by the first bound lose at most ``TRACE_TOL /
-    2`` together, so the run's loss stays within ``TRACE_TOL``.
+    the last one accepted by the first bound change the norm by at most
+    ``TRACE_TOL / 2`` together, so the run's drift stays within
+    ``TRACE_TOL``.
 
-    A norm that rose or is not finite is returned as it is, for the
-    caller's guard; a loss that does not shrink as the step halves raises
+    A norm that is not finite is returned as it is, for the caller's
+    guard; a change that does not shrink as the step halves raises
     :class:`NumericalGuardError`.
     """
     start = psi.copy()
     norm = np.vdot(start, start).real
     taken = 0
-    last_loss = math.inf
+    last_change = math.inf
     while True:
         advance(t0, sample_dt / stride, (sample - 1) * stride, stride)
         taken += stride
         now = np.vdot(psi, psi).real
-        loss = norm - now
-        if not loss > budget or abs(now - norm0) <= TRACE_TOL / 2:
+        change = abs(norm - now)
+        if not budget < change < math.inf or abs(now - norm0) <= TRACE_TOL / 2:
             return stride, taken, now
-        if not loss < last_loss:
+        if not change < last_change:
             raise NumericalGuardError(
-                f"norm loss {loss:.2e} over the sample interval ending at "
-                f"t={t0 + sample * sample_dt} does not shrink as the step "
-                "halves"
+                f"norm change {change:.2e} over the sample interval ending "
+                f"at t={t0 + sample * sample_dt} does not shrink as the "
+                "step halves"
             )
-        last_loss = loss
+        last_change = change
         psi[...] = start
         stride *= 2
 
@@ -866,7 +947,9 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray, out: np.ndarray):
 
 
 integrate.__doc__ = integrate.__doc__.format(
-    STEPS_PER_PERIOD=STEPS_PER_PERIOD, TRACE_TOL=TRACE_TOL
+    STEPS_PER_PERIOD=STEPS_PER_PERIOD,
+    MICROMOTION_TOL=MICROMOTION_TOL,
+    TRACE_TOL=TRACE_TOL,
 )
 
 

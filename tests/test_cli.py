@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -723,7 +724,10 @@ class TestSimulateAndCompare:
         good.write_text("t,x,y\n0,1,2\n1e-09,2,3\n")
         for ref, test in ((bad, good), (good, bad)):
             args = ["compare", "--ref", str(ref), "--test", str(test)]
-            assert main(args) == 3
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(args) == 3
+            assert not caught, [str(w.message) for w in caught]
             err = capsys.readouterr().err
             assert f"3 column name(s), {width} in rows" in err
 

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from stcg.model import (
     load_effective,
     load_model,
 )
-from stcg.operators import ModeSpec, parse_operator
+from stcg.operators import ModeSpec, OperatorSum, parse_operator
 from stcg.presets import duffing, get_preset
 import stcg.simulate as simulate
 from stcg.simulate import (
@@ -816,7 +817,8 @@ class TestVectorPath:
     @staticmethod
     def refined(scale, budget, norm0):
         """``_norm_refined`` over an interval that loses ``scale /
-        count^2`` of a unit norm at ``count`` steps."""
+        count^2`` of a unit norm at ``count`` steps (gains, for a negative
+        ``scale``)."""
         psi = np.full((4, 1), 0.5, dtype=complex)
         start = psi.copy()
 
@@ -846,6 +848,42 @@ class TestVectorPath:
         assert (got, taken) == (stride, 2 * stride - 1)
         assert norm == final
         assert 1 - norm > 1e-9 and abs(norm - norm0) <= simulate.TRACE_TOL / 2
+
+    def test_refinement_doubles_until_gain_fits_budget(self):
+        (stride, taken, norm), final = self.refined(-0.1, 1e-3, 1.0)
+        assert (stride, taken) == (16, 1 + 2 + 4 + 8 + 16)
+        assert norm == final and 0 < norm - 1 <= 1e-3
+
+    def test_norm_gain_is_refined_within_trace_tolerance(self):
+        # rabi at half the preset coupling gains about 2e-9 a sample
+        # interval at the default stride: unrefined, the drift passes
+        # TRACE_TOL at t = 30.87 ns
+        doc = get_preset("rabi")
+        doc["modes"][0]["truncation"] = 60
+        doc["symbols"]["g"] = "2pi*0.2GHz"
+        model = load_model(doc)
+        rho0 = build_initial(model.modes, "coherent(4.5)*e")
+        ds, margin = 0.07e-9, 15  # margin: 5 tau of 0.2 ns
+        traj = integrate(model, rho0, (-margin * ds, 35e-9 + margin * ds),
+                         model.numeric_assignment(),
+                         n_samples=501 + 2 * margin)
+        assert traj.meta["rhs"] == "vector"
+        assert traj.meta["stride"] == 24
+        assert traj.meta["steps"] > 12 * 530
+        norms = np.einsum("nij,nij->n", traj.factors.conj(), traj.factors)
+        assert np.max(np.abs(norms.real - 1.0)) <= simulate.TRACE_TOL
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_norm_is_left_to_the_guard(self, bad):
+        psi = np.full((4, 1), 0.5, dtype=complex)
+
+        def advance(t0, dt, first, count):
+            psi[0] = bad
+
+        stride, taken, norm = simulate._norm_refined(
+            advance, psi, 0.0, 1.0, 1, 1, 1e-3, 1.0
+        )
+        assert (stride, taken) == (1, 1) and not math.isfinite(norm)
 
     def test_loss_that_does_not_shrink_raises(self):
         psi = np.full((4, 1), 0.5, dtype=complex)
@@ -880,6 +918,109 @@ class TestVectorPath:
             "vector", "hermitian"
         ]
         assert vector.meta["rank"] == 1
+
+
+class TestStepRule:
+    """Without ``dt``, only terms whose micro-motion amplitude is above
+    ``MICROMOTION_TOL``, or whose coefficient depends on time, set the
+    step."""
+
+    @staticmethod
+    def pair(value, freq, text):
+        """An H term at ``freq`` and its conjugate partner."""
+        op = parse_operator(text, JC_MODES)
+        return [(value, freq, op), (sp.conjugate(value), f"-{freq}",
+                                    op.adjoint())]
+
+    def default_run(self, hamiltonian, dissipators=()):
+        eff = lindblad_model(JC_MODES, hamiltonian, dissipators)
+        rho0 = build_initial(JC_MODES, "coherent(0.5)*e")
+        return integrate(eff, rho0, (0.0, 1.0), {"w": 2.0}, n_samples=3)
+
+    @pytest.mark.parametrize(
+        "spec", ["coherent(2)*e", "coherent(2.5)*g", "coherent(1.5)*e"]
+    )
+    def test_order3_rabi_leaves_suppressed_terms_unresolved(self, spec):
+        # the +-4w terms move the state by < 1e-11: the +-2w terms set dt
+        eff, assignment = rabi_order3(30)
+        rho0 = build_initial(eff.modes, spec)
+        span = (0.0, 0.3e-9)
+        traj = integrate(eff, rho0, span, assignment, n_samples=11)
+        w = assignment["w"]
+        assert traj.meta["steps"] == 50
+        assert traj.meta["omega"] == pytest.approx(2 * w, rel=1e-12)
+        assert traj.meta["unresolved"] > 0
+        fine = integrate(eff, rho0, span, assignment,
+                         dt=traj.meta["dt"] / 16, n_samples=11)
+        assert fine.meta["omega"] is None
+        assert np.max(np.abs(traj.states - fine.states)) < 1e-8
+
+    def test_term_above_tolerance_sets_the_step(self):
+        # order-1 rabi: the +-2w terms move the state by ~1e-7 at
+        # truncation 10, so they keep the stride of verify's 0.07 ns grid
+        doc = json.loads((BENCH_DATA / "rabi_order1.json").read_text())
+        doc["modes"][0]["truncation"] = 10
+        eff = load_effective(doc)
+        assignment = load_model(get_preset("rabi")).numeric_assignment()
+        rho0 = build_initial(eff.modes, "coherent(1)*e")
+        traj = integrate(eff, rho0, (0.0, 0.14e-9), assignment, n_samples=3)
+        assert traj.meta["stride"] == 12
+        assert traj.meta["omega"] == pytest.approx(2 * assignment["w"],
+                                                   rel=1e-12)
+        assert traj.meta["unresolved"] == 0
+
+    def test_small_fast_term_does_not_set_the_step(self):
+        traj = self.default_run(
+            [(1.1, "0", parse_operator("sz", JC_MODES)),
+             *self.pair(0.3, "w", "a'*sm"),
+             *self.pair(1e-12, "3*w", "a'^2*sm")]
+        )
+        assert traj.meta["omega"] == 2.0
+        assert traj.meta["unresolved"] == 2
+        assert traj.meta["dt"] == 0.5 / math.ceil(
+            0.5 / (2 * math.pi / 2.0 / simulate.STEPS_PER_PERIOD)
+        )
+
+    def test_only_small_oscillating_terms_keep_the_fastest(self):
+        traj = self.default_run(
+            [(1.1, "0", parse_operator("sz", JC_MODES)),
+             *self.pair(1e-12, "w", "a'*sm"),
+             *self.pair(1e-12, "3*w", "a'^2*sm")]
+        )
+        assert (traj.meta["omega"], traj.meta["unresolved"]) == (6.0, 4)
+        static = self.default_run([(1.1, "0", parse_operator("sz", JC_MODES))])
+        assert static.meta["omega"] is None
+        assert static.meta["dt"] == 0.5 / math.ceil(0.5 / (1.0 / 1000))
+
+    def test_small_dissipator_does_not_set_the_step(self):
+        op = lambda text: parse_operator(text, JC_MODES)  # noqa: E731
+        traj = self.default_run(
+            [(1.1, "0", op("sz")), *self.pair(0.3, "w", "a'*sm")],
+            [(1e-12, "3*w", op("a"), op("sm")),
+             (1e-12, "-3*w", op("sp"), op("a'"))],
+        )
+        assert (traj.meta["omega"], traj.meta["unresolved"]) == (2.0, 2)
+
+    def test_time_dependent_coefficient_always_counts(self):
+        traj = self.default_run(
+            [(1.1, "0", parse_operator("sz", JC_MODES)),
+             *self.pair(0.3, "w", "a'*sm"),
+             *self.pair(1e-15 * TIME, "3*w", "a'^2*sm")]
+        )
+        assert (traj.meta["omega"], traj.meta["unresolved"]) == (6.0, 0)
+
+    def test_each_distinct_operator_matrix_is_built_once(self):
+        eff, assignment = rabi_order3(6)
+        ops = {t.op for t in eff.hamiltonian}
+        ops |= {op for t in eff.dissipators for op in (t.left, t.right)}
+        rho0 = build_initial(eff.modes, "coherent(1)*e")
+        # autospec passes the instance on; its calls go to the real method
+        with mock.patch.object(OperatorSum, "matrix", autospec=True,
+                               side_effect=OperatorSum.matrix) as spy:
+            integrate(eff, rho0, (0.0, 1e-12), assignment, n_samples=2)
+        assert spy.call_count == len(ops) < len(eff.hamiltonian) + 2 * len(
+            eff.dissipators
+        )
 
 
 def random_factors(shape, seed):
