@@ -184,6 +184,12 @@ def _cmd_simulate(args) -> int:
         for entry in (args.observe or [])
     ] or _default_observables(modes)
     labels = [label for label, _ in observe]
+    for label in labels:
+        if not label.strip() or any(ch in label for ch in ",\r\n"):
+            raise ValueError(
+                f"--observe label {label!r} must be a csv column name: not "
+                "empty, with no ',' or line break"
+            )
     if "t" in labels or len(set(labels)) != len(labels):
         raise ValueError(f"--observe labels {labels} repeat a column name")
     observables = {
@@ -223,6 +229,8 @@ def _render_csv(times, columns) -> str:
         else:
             names.append(label)
             series.append(values.real if np.iscomplexobj(values) else values)
+    if len(set(names)) != len(names):
+        raise ValueError(f"csv columns {names} repeat a column name")
     lines = [",".join(names)]
     for row in zip(*series):
         lines.append(",".join(f"{v:.12g}" for v in row))

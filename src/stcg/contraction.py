@@ -334,21 +334,11 @@ def contraction_coefficient(
 ) -> sp.Expr:
     """Closed-form coefficient ``C[l,r](mu, nu)`` as a sympy expression.
 
-    Results are memoized per frequency tuple on the filter instance
-    (:attr:`GaussianFilter.coefficients`), so they live as long as the filter.
-    Singular diagrams go through :func:`regularize_singular`, which raises
+    A pure function: every call sums the diagrams again, and callers that
+    meet a tuple more than once keep their own memo.  Singular diagrams go
+    through :func:`regularize_singular`, which raises
     :class:`UnresolvedSingularityError` if their limit does not exist.
     """
-    memo = filter_spec.coefficients
-    hit = memo.get(freqs)
-    if hit is None:
-        hit = memo[freqs] = _compute_coefficient(freqs, filter_spec)
-    return hit
-
-
-def _compute_coefficient(
-    freqs: FrequencyTuple, filter_spec: GaussianFilter
-) -> sp.Expr:
     total = sp.Integer(0)
     singular = []
     for diagram in enumerate_diagrams(*freqs.weight):
@@ -410,7 +400,9 @@ def symmetry_check(
     Parity: negating every frequency multiplies the coefficient by
     ``(-1)**(l + r - 1)``.  Mirror: moving the outermost left operator to the
     right side maps ``C[l,r]`` onto ``C[r+1,l-1]`` of the negated, reshuffled
-    tuple.  Both residuals are relative to the coefficient magnitude.
+    tuple.  Both residuals are relative to the coefficient magnitude.  Each
+    of the three coefficients is computed fresh, so the check is independent
+    of any coefficient computed before it.
     """
     left, right = freqs.weight
     base = scalar_eval(contraction_coefficient(freqs, filter_spec), assignment)
@@ -557,7 +549,8 @@ def numeric_limit_probe(
     :data:`_PROBE_OFFSETS` (scaled by the largest frequency magnitude,
     at least 1), mirroring the exact regulator, and the non-singular
     closed form is evaluated numerically: one value per offset.  Used as a
-    cross-check that the exact regulated limit is approached continuously.
+    cross-check that the exact regulated limit is approached continuously;
+    the shifted coefficient is computed fresh, independent of any other.
     """
     probe = FreqExpr.symbol(_PROBE_SYMBOL)
     mu = tuple(w + (2**i) * probe for i, w in enumerate(freqs.mu))

@@ -568,20 +568,33 @@ def _product(terms: Sequence[HamiltonianTermSpec]) -> OperatorSum:
 def _merge(model: ModelSpec, slots: Mapping) -> list:
     """Resolve merged ``(key, frequency)`` slots into sorted terms.
 
-    Slots are grouped by their regulator-free frequency; each group is
-    summed through :func:`_ramp_limit`, the shift's limit taken.  Returns
-    ``(key, frequency, coefficient)`` triples with non-zero coefficients,
-    sorted by frequency text, then key.
+    Each slot's list of pieces is summed once, and slots are grouped by
+    regulator-free frequency; each group is summed through :func:`_ramp_limit`,
+    the shift's limit taken.  Returns ``(key, frequency, coefficient)``
+    triples with non-zero coefficients, sorted by frequency text, then key.
     """
     grouped: dict = {}
-    for (key, freq), coeff in slots.items():
+    for (key, freq), pieces in slots.items():
         base, mult = _split_regulator(freq, model.regulator)
-        grouped.setdefault((key, base), []).append((coeff, mult))
+        grouped.setdefault((key, base), []).append((sp.Add(*pieces), mult))
     final = _ramp_limit(grouped, model.regulator)
     return [
         (key, base, final[(key, base)])
         for key, base in sorted(final, key=lambda kb: (str(kb[1]), kb[0]))
     ]
+
+
+def _coefficients(model: ModelSpec):
+    """:func:`contraction_coefficient` at the model's filter, each tuple
+    computed once for the life of the returned function: one assembly."""
+    memo: dict = {}
+
+    def coefficient(freqs: FrequencyTuple) -> sp.Expr:
+        if freqs not in memo:
+            memo[freqs] = contraction_coefficient(freqs, model.filter_spec)
+        return memo[freqs]
+
+    return coefficient
 
 
 def effective_hamiltonian(
@@ -594,22 +607,20 @@ def effective_hamiltonian(
     the product of the tuple's operators (outermost last), the frequency the
     tuple sum.  Terms merge on (canonical monomial, frequency).
     """
-    slots = defaultdict(lambda: sp.Integer(0))
-    filt = model.filter_spec
+    slots = defaultdict(list)
+    coefficient = _coefficients(model)
     for k in _orders(order, 1):
         for combo in itertools.product(model.terms, repeat=k):
             mu = tuple(term.freq for term in combo)
-            c_fwd = contraction_coefficient(FrequencyTuple(mu), filt)
-            c_bwd = contraction_coefficient(
-                FrequencyTuple(mu[::-1]).negated(), filt
-            )
+            c_fwd = coefficient(FrequencyTuple(mu))
+            c_bwd = coefficient(FrequencyTuple(mu[::-1]).negated())
             q = (c_fwd + c_bwd) / 2 * sp.Mul(*(term.coeff for term in combo))
             if q == 0:
                 continue
             op = _product(combo[::-1])
             total = sum(mu, FreqExpr.zero())
             for key, mono in op.terms.items():
-                slots[key, total] += q * mono
+                slots[key, total].append(q * mono)
     return tuple(
         HamiltonianTermSpec(
             coeff, base, OperatorSum.monomial(model.modes, key)
@@ -628,8 +639,8 @@ def effective_dissipators(
     the term set under conjugation exactly (see tests).  Terms merge on
     (L monomial, J monomial, frequency).
     """
-    slots = defaultdict(lambda: sp.Integer(0))
-    filt = model.filter_spec
+    slots = defaultdict(list)
+    coefficient = _coefficients(model)
     for k in _orders(order, 2):
         for l in range(1, k):
             r = k - l
@@ -637,12 +648,8 @@ def effective_dissipators(
                 mu = tuple(term.freq for term in lcombo)
                 for rcombo in itertools.product(model.terms, repeat=r):
                     nu = tuple(term.freq for term in rcombo)
-                    c_fwd = contraction_coefficient(
-                        FrequencyTuple(mu, nu), filt
-                    )
-                    c_bwd = contraction_coefficient(
-                        FrequencyTuple(nu, mu).negated(), filt
-                    )
+                    c_fwd = coefficient(FrequencyTuple(mu, nu))
+                    c_bwd = coefficient(FrequencyTuple(nu, mu).negated())
                     coupling = sp.Mul(*(t.coeff for t in lcombo + rcombo))
                     rate = -sp.I * (c_fwd - c_bwd) * coupling
                     if rate == 0:
@@ -652,7 +659,9 @@ def effective_dissipators(
                     total = sum(mu + nu, FreqExpr.zero())
                     for lkey, lmono in left.terms.items():
                         for jkey, jmono in right.terms.items():
-                            slots[(lkey, jkey), total] += rate * lmono * jmono
+                            slots[(lkey, jkey), total].append(
+                                rate * lmono * jmono
+                            )
     return tuple(
         DissipatorTermSpec(
             rate,
@@ -696,13 +705,18 @@ def ir_limit(expr: sp.Expr) -> sp.Expr:
     )
 
 
-def _peak_magnitude(coeff, assignment, times) -> float:
-    values = []
+def _peak_magnitude(coeff, assignment, times, what: str) -> float:
+    """Largest ``|coeff|`` at the ``times``; a value that is not finite
+    raises ``ValueError`` naming ``what``, the term."""
+    peak = 0.0
     for t in times:
         point = dict(assignment)
         point[TIME.name] = t
-        values.append(abs(scalar_eval(coeff, point)))
-    return max(values)
+        value = abs(scalar_eval(coeff, point))
+        if not math.isfinite(value):
+            raise ValueError(f"{what} is {value} at t = {t}")
+        peak = max(peak, value)
+    return peak
 
 
 def prune_terms(
@@ -716,7 +730,9 @@ def prune_terms(
     Coefficients are evaluated at t = 0, or, with a ``time_window``, at
     :data:`PRUNE_SAMPLES` evenly spaced times spanning it, ends included,
     and the largest magnitude is kept.  Order, modes and ``params`` are
-    kept as they are.
+    kept as they are.  A window that is not finite or does not end after it
+    starts, and a coefficient that is not finite at a sample time, raise
+    ``ValueError``.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
@@ -724,6 +740,11 @@ def prune_terms(
         times = [0.0]
     else:
         t0, t1 = time_window
+        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+            raise ValueError(
+                f"pruning window must be finite and end after it starts, "
+                f"got {time_window}"
+            )
         times = [
             t0 + (t1 - t0) * i / (PRUNE_SAMPLES - 1)
             for i in range(PRUNE_SAMPLES)
@@ -731,12 +752,19 @@ def prune_terms(
     ham = [
         term
         for term in eff.hamiltonian
-        if _peak_magnitude(term.coeff, assignment, times) >= threshold
+        if _peak_magnitude(
+            term.coeff, assignment, times,
+            f"coefficient of {term.op} at frequency {term.freq}",
+        ) >= threshold
     ]
     dis = [
         term
         for term in eff.dissipators
-        if _peak_magnitude(term.rate, assignment, times) >= threshold
+        if _peak_magnitude(
+            term.rate, assignment, times,
+            f"rate of L = {term.left}, J = {term.right} at frequency "
+            f"{term.freq}",
+        ) >= threshold
     ]
     return replace(eff, hamiltonian=tuple(ham), dissipators=tuple(dis))
 

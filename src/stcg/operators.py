@@ -100,7 +100,8 @@ def _mul_two_level(f1, f2):
 
 
 class OperatorSum:
-    """Linear combination of canonical monomials over a fixed mode list."""
+    """Linear combination of canonical monomials over a fixed mode list;
+    coefficients are held expanded, so equal sums have equal hashes."""
 
     __slots__ = ("modes", "terms")
 
@@ -120,6 +121,9 @@ class OperatorSum:
             if len(key) != len(self.modes):
                 raise ValueError("monomial key does not match mode list")
             clean[key] = clean.get(key, sp.Integer(0)) + coeff
+        clean = {
+            k: c if c.is_Number else sp.expand(c) for k, c in clean.items()
+        }
         self.terms = {k: c for k, c in clean.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
@@ -214,13 +218,10 @@ class OperatorSum:
     def __eq__(self, other):
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        if self.modes != other.modes:
-            return False
-        diff = self - other
-        return all(sp.expand(c) == 0 for c in diff.terms.values())
+        return self.modes == other.modes and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.modes, frozenset(self.terms)))
+        return hash((self.modes, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:

@@ -372,12 +372,7 @@ def _realize(generator, assignment):
     matrices = {}
 
     def matrix(op):
-        # one matrix, COO triplet and norm bound per distinct operator: the
-        # order-3 rabi model names 18 operators in 117 places.  The key
-        # compares the terms as written; OperatorSum's own equality expands
-        # their difference in sympy, on every key that shares its monomials.
-        key = op.modes, frozenset(op.terms.items())
-        built = matrices.get(key)
+        built = matrices.get(op)
         if built is None:
             mat = op.matrix(assignment)
             rows, cols, values = triplet = _coo(mat)
@@ -387,7 +382,7 @@ def _realize(generator, assignment):
                 np.bincount(rows, moduli).max(initial=0.0)
                 * np.bincount(cols, moduli).max(initial=0.0)
             )
-            built = matrices[key] = mat, triplet, bound
+            built = matrices[op] = mat, triplet, bound
         return built
 
     ham, sizes = [], []

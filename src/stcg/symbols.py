@@ -223,8 +223,7 @@ class GaussianFilter:
     A numeric ``tau`` is held exactly: a float becomes the rational of its
     15-digit decimal (``2e-10`` gives ``1/5000000000``), so that the
     filter values of one coefficient, and the series expanded from them,
-    cancel exactly.  A filter also keeps the contraction coefficients
-    computed with it (:attr:`coefficients`).
+    cancel exactly.
     """
 
     def __init__(self, tau=TAU):
@@ -236,10 +235,6 @@ class GaussianFilter:
         if tau.has(sp.Float):
             tau = sp.nsimplify(tau, rational=True)
         self.tau = tau
-        #: Contraction coefficients computed with this filter, keyed by
-        #: frequency tuple (see
-        #: :func:`stcg.contraction.contraction_coefficient`).
-        self.coefficients: dict = {}
 
     def __call__(self, freq) -> sp.Expr:
         if isinstance(freq, FreqExpr):

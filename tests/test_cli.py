@@ -62,6 +62,17 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("window", ["-5ns", "0s"])
+    def test_validation_error_on_empty_pruning_window(
+        self, window, model_path, capsys
+    ):
+        code = main(
+            ["derive", "--model", model_path, "--order", "1", "--threshold",
+             "1", f"--window={window}"]
+        )
+        assert code == 3
+        assert "pruning window must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag", ["--params=nonsense", "--params=gg=1", "--window=5ns"]
     )
@@ -388,17 +399,29 @@ class TestExitCodes:
         assert "must be a json object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "observe", [["n=a'*a", "n=t(e,e)"], ["t=t(e,e)"]]
+        "observe,message",
+        [
+            (["n=a'*a", "n=t(e,e)"], "repeat a column name"),
+            (["t=t(e,e)"], "repeat a column name"),
+            # <a> is complex here, so its column splits into x_re, x_im
+            (["x=a", "x_re=a'*a"], "repeat a column name"),
+            (["a,b=a"], "must be a csv column name"),
+            (["=a"], "must be a csv column name"),
+            ([" =a"], "must be a csv column name"),
+            (["x\ny=a"], "must be a csv column name"),
+        ],
+        ids=["repeated", "time", "split-complex", "comma", "empty", "blank",
+             "line-break"],
     )
     def test_validation_error_on_observe_label_collision(
-        self, observe, model_path, capsys
+        self, observe, message, model_path, capsys
     ):
-        args = ["simulate", "--model", model_path, "--initial", "fock(0)*e",
-                "--t1", "0.1ns", "--samples", "3"]
+        args = ["simulate", "--model", model_path, "--initial",
+                "coherent(1)*e", "--t1", "0.1ns", "--samples", "3"]
         for entry in observe:
             args += ["--observe", entry]
         assert main(args) == 3
-        assert "repeat a column name" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -47,22 +48,22 @@ class TestClosedForms:
         ref = -(f(WS + VS) - f(WS) * f(VS)) / VS
         assert sp.simplify(c - ref) == 0
 
-    def test_memoized(self):
-        a = contraction_coefficient(FrequencyTuple((W, V)), GAUSS)
-        b = contraction_coefficient(FrequencyTuple((W, V)), GAUSS)
-        assert a is b
-
-    def test_memo_belongs_to_the_filter(self):
-        # Two filters of equal width keep separate memos: computing with
-        # the first leaves the second's empty, and each keeps its own.
-        first, second = GaussianFilter(0.26e-9), GaussianFilter(0.26e-9)
-        freqs = FrequencyTuple((W,))
-        c = contraction_coefficient(freqs, first)
-        assert freqs in first.coefficients
-        assert freqs not in second.coefficients
-        assert contraction_coefficient(freqs, second) == c
-        assert freqs in second.coefficients
-        assert freqs not in GaussianFilter().coefficients
+    def test_each_call_sums_the_diagrams(self):
+        # A pure function: the second call on one tuple computes again, and
+        # the filter it was given holds nothing but tau.
+        freqs = FrequencyTuple((W, V))
+        filt = GaussianFilter(0.26e-9)
+        with mock.patch.object(
+            contraction, "diagram_contribution",
+            side_effect=diagram_contribution,
+        ) as spy:
+            first = contraction_coefficient(freqs, filt)
+            once = spy.call_count
+            second = contraction_coefficient(freqs, filt)
+        assert once == len(enumerate_diagrams(2, 0))
+        assert spy.call_count == 2 * once
+        assert first == second
+        assert vars(filt) == {"tau": sp.Rational(13, 50000000000)}
 
 
 class TestSingularTuples:
@@ -249,7 +250,7 @@ class TestLaurentKernel:
             match=r"poles survive: .* \(shift\^-1\) for C\(2, 0\) "
             r"at mu=\(0, 0\), nu=\(\)$",
         ):
-            contraction._compute_coefficient(freqs, GAUSS)
+            contraction_coefficient(freqs, GAUSS)
 
 
 class TestSymmetries:

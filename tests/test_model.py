@@ -3,6 +3,7 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -594,6 +595,55 @@ class TestAssembly:
         eff = assemble(m, 2)
         assert eff.order == 2
 
+    # Each order-2 call asks for a forward and a backward coefficient per
+    # term tuple: 2 * (4 + 16) of them for H, 2 * 16 for the dissipators.
+    @pytest.mark.parametrize(
+        "derive,uses",
+        [(effective_hamiltonian, 40), (effective_dissipators, 32)],
+        ids=["hamiltonian", "dissipators"],
+    )
+    def test_each_call_computes_each_tuple_once(self, derive, uses):
+        m = load_model(RABI_DOC)
+        with mock.patch.object(
+            smodel, "contraction_coefficient",
+            side_effect=smodel.contraction_coefficient,
+        ) as spy:
+            derive(m, 2)
+            first = [call.args[0] for call in spy.call_args_list]
+            derive(m, 2)
+        assert len(set(first)) == len(first) < uses
+        # the memo dies with the call: the second one computes again
+        again = [call.args[0] for call in spy.call_args_list[len(first):]]
+        assert again == first
+
+
+class TestUnitaryLimit:
+    def test_order2_contains_the_james_jerke_hamiltonian(self):
+        # The g**2 part of the order-2 Hamiltonian, its filtered content
+        # dropped by ir_limit, is James & Jerke's effective Hamiltonian
+        # (Can. J. Phys. 85, 625 (2007)) for H = sum_n h_n exp(-i w_n t):
+        # sum over conjugate pairs of [h_n', h_n] / w_n.  The sum below
+        # runs over every term with w_n != 0, and so counts each pair twice.
+        doc = get_preset("rabi")
+        del doc["filter"]
+        model = load_model(doc)
+        g = sp.Symbol("g", real=True)
+        got = OperatorSum.zero(model.modes)
+        for term in effective_hamiltonian(model, 2):
+            coeff = ir_limit(sp.expand(term.coeff).coeff(g, 2))
+            if term.freq.is_zero:
+                got = got + g**2 * coeff * term.op
+            else:
+                assert coeff == 0, term
+        want = OperatorSum.zero(model.modes)
+        for term in model.terms:
+            if not term.freq.is_zero:
+                h = term.coeff * term.op
+                comm = h.adjoint().matmul(h) - h.matmul(h.adjoint())
+                want = want + comm * (1 / (2 * term.freq.to_sympy()))
+        assert got == want
+        assert len(got.terms) == 3
+
 
 class TestIrLimit:
     def test_drops_filtered_exponentials(self):
@@ -622,6 +672,27 @@ class TestPruneExport:
         point = {"wa": 20.0, "wc": 21.0, "g": 0.5, "tau": 0.4}
         with pytest.raises(ValueError, match="threshold must be finite"):
             prune_terms(eff, threshold, point)
+
+    @pytest.mark.parametrize(
+        "window",
+        [(0.0, 0.0), (0.0, -5e-9), (0.0, math.inf), (math.nan, 1e-9),
+         (-math.inf, 0.0)],
+        ids=["empty", "reversed", "infinite-end", "nan-start",
+             "infinite-start"],
+    )
+    def test_prune_rejects_bad_window(self, window):
+        eff = assemble(load_model(RABI_DOC), 1)
+        point = {"wa": 20.0, "wc": 21.0, "g": 0.5, "tau": 0.4}
+        with pytest.raises(ValueError, match="pruning window must be finite"):
+            prune_terms(eff, 1.0, point, window)
+
+    def test_prune_names_a_coefficient_that_is_not_finite(self):
+        eff = assemble(load_model(RABI_DOC), 1)
+        point = {"wa": 20.0, "wc": 21.0, "g": math.nan, "tau": 0.4}
+        with pytest.raises(
+            ValueError, match=r"coefficient of .* at frequency .* is nan at t"
+        ):
+            prune_terms(eff, 1.0, point)
 
     @pytest.mark.parametrize(
         "path,exact",

@@ -46,6 +46,21 @@ class TestAlgebra:
         comm = a.matmul(ad) - ad.matmul(a)
         assert comm == OperatorSum.identity(BOSON)
 
+    def test_equal_sums_hash_equal(self):
+        # Coefficients are held expanded, so equality and hashing agree:
+        # a coefficient that expands to 0 is dropped.
+        x = sp.Symbol("x")
+        key = ((0, 1),)
+        vanishing = OperatorSum(BOSON, {key: (x + 1) ** 2 - x**2 - 2 * x - 1})
+        square = OperatorSum(BOSON, {key: (x + 1) ** 2})
+        expanded = OperatorSum(BOSON, {key: x**2 + 2 * x + 1})
+        zero = OperatorSum.zero(BOSON)
+        assert vanishing.is_zero
+        for a, b in ((vanishing, zero), (square, expanded)):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert a in {b}
+
     def test_adjoint_matches_dagger(self):
         op = OperatorSum(BOSON, {((2, 1),): 1 + 2j, ((0, 1),): -3})
         assert np.allclose(op.adjoint().matrix(), op.matrix().conj().T)
