@@ -585,14 +585,37 @@ def _merge(model: ModelSpec, slots: Mapping) -> list:
 
 
 def _coefficients(model: ModelSpec):
-    """:func:`contraction_coefficient` at the model's filter, each tuple
-    computed once for the life of the returned function: one assembly."""
+    """:func:`contraction_coefficient` at the model's filter, computed once
+    per symmetry orbit for the life of the returned function: one assembly.
+
+    A tuple ``mu`` of weight ``(l, r)`` shares its value, up to sign, with
+    the rest of its orbit: ``C(-mu) = (-1)**(l + r - 1) * C(mu)`` (parity)
+    and ``C(mirrored(mu)) = C(mu)`` (mirror).  A tuple not yet in the memo
+    takes, in this order, the negated tuple's entry times the parity sign,
+    the mirrored tuple's entry, or the negated mirror's entry times the
+    parity sign; only when all three are missing is it computed.  A reused
+    value keeps its partner's exact form, which may differ from the one a
+    fresh computation prints (``-1/(wa + wc)`` for ``1/(-wa - wc)``).
+    """
     memo: dict = {}
 
     def coefficient(freqs: FrequencyTuple) -> sp.Expr:
-        if freqs not in memo:
-            memo[freqs] = contraction_coefficient(freqs, model.filter_spec)
-        return memo[freqs]
+        value = memo.get(freqs)
+        if value is None:
+            parity = (-1) ** (sum(freqs.weight) - 1)
+            mirror = freqs.mirrored()
+            for partner, sign in (
+                (freqs.negated(), parity),
+                (mirror, 1),
+                (mirror.negated(), parity),
+            ):
+                if partner in memo:
+                    value = sign * memo[partner]
+                    break
+            else:
+                value = contraction_coefficient(freqs, model.filter_spec)
+            memo[freqs] = value
+        return value
 
     return coefficient
 

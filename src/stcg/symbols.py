@@ -8,11 +8,13 @@ which is why floats are not allowed in :class:`FreqExpr`.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Mapping
 
 import sympy as sp
+from sympy.core.evalf import PrecisionExhausted
 
 __all__ = [
     "TAU",
@@ -249,19 +251,37 @@ def scalar_eval(expr, assignment: Mapping | None = None) -> complex:
     """Evaluate a scalar expression to a complex number.
 
     ``assignment`` maps symbol names (or sympy symbols) to numbers and must
-    cover every free symbol of ``expr``.
+    cover every free symbol of ``expr``.  A finite float value (or each
+    part of a complex one) stands for the rational of its 15-digit decimal,
+    as a numeric tau does in :class:`GaussianFilter`: a generator derived
+    at a symbolic tau, evaluated at ``tau=1.25e-10``, is the one derived at
+    that tau.  The values are substituted inside one ``evalf`` pass, which
+    raises the working precision until the result holds 15 correct digits.
+    Where no precision can (a sum that cancels to zero at this point), they
+    are substituted exactly instead: the result is then 0, or ``nan`` for a
+    vanishing denominator.
     """
     expr = sp.sympify(expr)
-    subs = {}
-    for key, value in (assignment or {}).items():
-        symbol = sp.Symbol(key) if isinstance(key, str) else key
-        subs[symbol.name] = sp.sympify(value)
-    mapped = expr.subs(
-        {s: subs[s.name] for s in expr.free_symbols if s.name in subs}
-    )
-    remaining = mapped.free_symbols
-    if remaining:
-        names = ", ".join(sorted(s.name for s in remaining))
+    values = {
+        key if isinstance(key, str) else key.name: value
+        for key, value in (assignment or {}).items()
+    }
+    missing = sorted(s.name for s in expr.free_symbols if s.name not in values)
+    if missing:
+        names = ", ".join(missing)
         raise KeyError(f"no value provided for symbol(s): {names}")
-    value = complex(sp.N(mapped))
-    return value
+    subs = {s: _exact(values[s.name]) for s in expr.free_symbols}
+    try:
+        return complex(expr.evalf(subs=subs, strict=True))
+    except (PrecisionExhausted, ZeroDivisionError):
+        return complex(sp.N(expr.subs(subs)))
+
+
+def _exact(value) -> sp.Expr:
+    """``value`` for :func:`scalar_eval`, a finite float as the rational of
+    its 15-digit decimal."""
+    if isinstance(value, complex):
+        return _exact(value.real) + sp.I * _exact(value.imag)
+    if isinstance(value, float) and math.isfinite(value):
+        return sp.Rational(f"{value:.15g}")
+    return sp.sympify(value)

@@ -539,6 +539,26 @@ class TestDerive:
         stored = TEST_DATA / "parametron_order1.json"
         assert out.read_bytes() == stored.read_bytes()
 
+    def test_duffing_order2_matches_stored_export(self, tmp_path):
+        # pins the order-2 Hamiltonian and dissipators of a static model
+        out = tmp_path / "duffing2.json"
+        assert main(
+            ["derive", "--preset", "duffing", "--order", "2", "-o", str(out)]
+        ) == 0
+        stored = TEST_DATA / "duffing_order2.json"
+        assert out.read_bytes() == stored.read_bytes()
+
+    def test_ramped_squeeze_order1_matches_stored_export(self, tmp_path):
+        # pins the ramp limit of a model file: a ramped squeeze drive at
+        # +-2*wp beside a static Kerr term
+        out = tmp_path / "ramped1.json"
+        assert main(
+            ["derive", "--model", str(TEST_DATA / "ramped_squeeze.json"),
+             "--order", "1", "-o", str(out)]
+        ) == 0
+        stored = TEST_DATA / "ramped_squeeze_order1.json"
+        assert out.read_bytes() == stored.read_bytes()
+
     def test_python_m_stcg_from_checkout(self):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         run = subprocess.run(

@@ -12,6 +12,7 @@ from stcg.contraction import (
     UnresolvedSingularityError,
     _diagram_expr,
     _ShiftSeries,
+    _vanishes,
     bubble_factor_oracle,
     contraction_coefficient,
     diagram_contribution,
@@ -24,6 +25,8 @@ from stcg.symbols import TAU, FreqExpr, GaussianFilter, scalar_eval
 
 W = FreqExpr.symbol("w")
 V = FreqExpr.symbol("v")
+#: A ramp's frequency shift (see stcg.model.encode_linear_ramp).
+D = FreqExpr.symbol("delta")
 WS = sp.Symbol("w", real=True)
 VS = sp.Symbol("v", real=True)
 GAUSS = GaussianFilter()
@@ -271,6 +274,31 @@ class TestSymmetries:
         assert res["parity"] < 1e-10
         assert res["mirror"] < 1e-10
 
+    # The assembly memo reuses a coefficient across its orbit, singular and
+    # ramp-shifted tuples included: the identities hold there exactly.
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            FrequencyTuple((W, -W)),
+            FrequencyTuple((W,), (-W,)),
+            FrequencyTuple((W, -W, W)),
+            FrequencyTuple((W, -W), (W,)),
+            FrequencyTuple((W,), (-W, W)),
+            FrequencyTuple((W + D, -W + D)),
+            FrequencyTuple((W + D,), (-W - D,)),
+            FrequencyTuple((W - D, -W + D, V)),
+        ],
+        ids=["w,-w", "(w),(-w)", "w,-w,w", "(w,-w),(w)", "(w),(-w,w)",
+             "w+d,-w+d", "(w+d),(-w-d)", "w-d,-w+d,v"],
+    )
+    def test_exact_at_singular_and_shifted_tuples(self, freqs):
+        c = contraction_coefficient(freqs, GAUSS)
+        parity = (-1) ** (sum(freqs.weight) - 1)
+        flipped = contraction_coefficient(freqs.negated(), GAUSS)
+        mirrored = contraction_coefficient(freqs.mirrored(), GAUSS)
+        assert _vanishes(flipped - parity * c)
+        assert _vanishes(mirrored - c)
+
 
 class TestOracle:
     def test_matches_closed_form_20(self):
@@ -305,3 +333,16 @@ class TestFrequencyTuple:
         m = t.mirrored()
         assert m.weight == (1, 1)
         assert m.mu == (-V,) or m.nu[-1] == -V
+
+    @pytest.mark.parametrize(
+        "weight",
+        [(l, k - l) for k in range(1, 5) for l in range(1, k + 1)],
+        ids=str,
+    )
+    def test_mirror_is_an_involution_that_commutes_with_negation(self, weight):
+        left, right = weight
+        ws = [FreqExpr.symbol(f"x{i}") for i in range(left + right)]
+        t = FrequencyTuple(tuple(ws[:left]), tuple(ws[left:]))
+        assert t.mirrored().weight == (right + 1, left - 1)
+        assert t.mirrored().mirrored() == t
+        assert t.mirrored().negated() == t.negated().mirrored()

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,11 @@ import pytest
 import sympy as sp
 
 from stcg import model as smodel
-from stcg.contraction import UnresolvedSingularityError
+from stcg.contraction import (
+    UnresolvedSingularityError,
+    _vanishes,
+    contraction_coefficient,
+)
 from stcg.model import (
     assemble,
     effective_dissipators,
@@ -46,6 +51,37 @@ RABI_DOC = {
         {"coupling": "g/2", "frequency": "-wc + wa", "operator": "a'*sm"},
     ],
 }
+
+
+def _orbit(freqs):
+    """The tuples that share one coefficient up to sign with ``freqs``."""
+    mirror = freqs.mirrored()
+    return frozenset((freqs, freqs.negated(), mirror, mirror.negated()))
+
+
+def _memo_of(derive, model, order):
+    """The tuples ``derive`` computes, and ``{tuple: coefficient}`` for
+    every tuple its memo answers."""
+    answered = {}
+    memo_for = smodel._coefficients
+
+    def recording(spec):
+        coefficient = memo_for(spec)
+
+        def answer(freqs):
+            answered[freqs] = coefficient(freqs)
+            return answered[freqs]
+
+        return answer
+
+    with mock.patch.object(
+        smodel, "_coefficients", side_effect=recording
+    ), mock.patch.object(
+        smodel, "contraction_coefficient",
+        side_effect=smodel.contraction_coefficient,
+    ) as spy:
+        derive(model, order)
+    return [call.args[0] for call in spy.call_args_list], answered
 
 
 class TestQuantities:
@@ -616,6 +652,46 @@ class TestAssembly:
         again = [call.args[0] for call in spy.call_args_list[len(first):]]
         assert again == first
 
+    @pytest.mark.parametrize(
+        "doc", [RABI_DOC, get_preset("duffing")], ids=["rabi", "duffing"]
+    )
+    @pytest.mark.parametrize(
+        "derive", [effective_hamiltonian, effective_dissipators],
+        ids=["hamiltonian", "dissipators"],
+    )
+    def test_each_call_computes_each_orbit_once(self, derive, doc):
+        model = load_model(doc)
+        computed, memo = _memo_of(derive, model, 2)
+        orbits = {_orbit(freqs) for freqs in computed}
+        assert len(orbits) == len(computed) < len(memo)
+        for freqs, value in memo.items():
+            fresh = contraction_coefficient(freqs, model.filter_spec)
+            assert _vanishes(value - fresh), freqs
+
+    def test_reused_coefficients_are_the_fresh_ones(self):
+        # the benchmark's detuned cavity-qubit model: a reused coefficient
+        # keeps its partner's form, which here differs from the fresh one
+        tau = {"kind": "gaussian", "tau": "0.18ns"}
+        model = load_model(dict(CAVITY_QUBIT_DOC, filter=tau))
+        rng = random.Random(24)
+        points = [
+            {"wa": 2 * math.pi * rng.uniform(4.0, 5.0) * 1e9,
+             "wc": 2 * math.pi * rng.uniform(5.5, 6.5) * 1e9}
+            for _ in range(3)
+        ]
+        reprinted = 0
+        for derive in (effective_hamiltonian, effective_dissipators):
+            computed, memo = _memo_of(derive, model, 2)
+            assert len(computed) < len(memo)
+            for freqs, value in memo.items():
+                fresh = contraction_coefficient(freqs, model.filter_spec)
+                reprinted += str(value) != str(fresh)
+                for point in points:
+                    want = scalar_eval(fresh, point)
+                    got = scalar_eval(value, point)
+                    assert abs(got - want) <= 1e-12 * abs(want), freqs
+        assert reprinted
+
 
 class TestUnitaryLimit:
     def test_order2_contains_the_james_jerke_hamiltonian(self):
@@ -704,9 +780,12 @@ class TestPruneExport:
             (BENCH_DATA / "rabi_order3.json", False),
             (TEST_DATA / "rabi_order1.json", True),
             (TEST_DATA / "rabi_order3.json", True),
+            (TEST_DATA / "duffing_order2.json", True),
+            (TEST_DATA / "ramped_squeeze_order1.json", True),
         ],
         ids=["rabi_order1", "parametron_order1", "rabi_order3",
-             "exact_rabi_order1", "exact_rabi_order3"],
+             "exact_rabi_order1", "exact_rabi_order3", "exact_duffing_order2",
+             "exact_ramped_squeeze_order1"],
     )
     def test_json_round_trip(self, path, exact):
         text = path.read_text()

@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -6,7 +8,11 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
-from stcg.contraction import _ShiftSeries
+from stcg.contraction import (
+    FrequencyTuple,
+    _ShiftSeries,
+    contraction_coefficient,
+)
 from stcg.symbols import (
     TAU,
     FreqExpr,
@@ -128,3 +134,44 @@ class TestScalarEval:
         g = sp.Symbol("g", real=True)
         value = scalar_eval(sp.I * g * TAU**2, {"g": 2.0, "tau": 3.0})
         assert value == pytest.approx(18j)
+
+    def test_names_missing_symbols(self):
+        g = sp.Symbol("g", real=True)
+        with pytest.raises(KeyError, match="no value provided for symbol"):
+            scalar_eval(g * TAU, {"g": 1.0})
+
+    def test_float_is_its_decimal(self):
+        # exp(-E) with E near 300 magnifies the 6e-17 between the float
+        # 1.25e-10 and 1/8000000000 to 4e-14
+        g = sp.Symbol("g", real=True)
+        expr = sp.exp(-(g**2) * TAU**2 * 8)
+        exact = expr.subs(TAU, sp.Rational(1, 8000000000))
+        point = {"g": 2 * math.pi * 8e9, "tau": 1.25e-10}
+        assert scalar_eval(expr, point) == scalar_eval(exact, point)
+
+    def test_vanishing_denominator_is_nan(self):
+        g = sp.Symbol("g", real=True)
+        assert cmath.isnan(scalar_eval(1 / (g - TAU), {"g": 0.5, "tau": 0.5}))
+
+    @pytest.mark.parametrize("weight", [(4, 0), (3, 1), (2, 2), (1, 3)])
+    def test_weight_four_coefficients_to_full_precision(self, weight):
+        # their diagrams cancel to a small sum: evaluated term by term in
+        # floats, they lose up to 2.4e-10 relative
+        left, right = weight
+        ws = [FreqExpr.symbol(f"q{i}") for i in range(left + right)]
+        freqs = FrequencyTuple(tuple(ws[:left]), tuple(ws[left:]))
+        expr = contraction_coefficient(freqs, GaussianFilter())
+        rng = random.Random(sum(weight) * 10 + left)
+        for _ in range(5):
+            # six-decimal values: a float stands for its decimal
+            point = {
+                f"q{i}": round(rng.choice([-1, 1]) * rng.uniform(0.3, 2.0), 6)
+                for i in range(left + right)
+            }
+            point["tau"] = round(rng.uniform(0.2, 1.0), 6)
+            subs = {
+                s: sp.Rational(str(point[s.name])) for s in expr.free_symbols
+            }
+            want = complex(expr.evalf(50, subs=subs))
+            got = scalar_eval(expr, point)
+            assert abs(got - want) <= 1e-13 * abs(want), point
