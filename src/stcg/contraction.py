@@ -4,11 +4,13 @@ Each coefficient ``C[l,r](mu, nu)`` weighs a product of ``l`` operators
 acting from the left and ``r`` from the right of the state.  It is a sum
 over the bubble diagrams of :mod:`stcg.diagrams`; each diagram contributes a
 signed product of filter values divided by "vector factorials" (products of
-partial frequency sums).  Where partial sums vanish, every frequency is
-shifted by a distinct integer multiple of a regulator ``eps``, and the
-singular diagrams of a coefficient are summed and expanded by one
-:class:`_ShiftSeries`.  Its ``finite_part``, which also takes the ramp limit
-of :mod:`stcg.model`, keeps the ``eps**0`` coefficient once the poles cancel.
+partial frequency sums).  The sum is exact data (:class:`ExactCoefficient`):
+per filter exponent, a polynomial over the tuple's linear forms, converted
+to sympy once.  Where partial sums vanish, every frequency is shifted by a
+distinct integer multiple of a regulator ``eps``; the singular diagrams of a
+coefficient are expanded in ``eps`` in the same exact form, and the
+``eps**0`` coefficient is kept once the poles cancel.  :class:`_ShiftSeries`
+takes the ramp limit of :mod:`stcg.model` on sympy expressions.
 
 The module also carries a slow, independent numerical oracle
 (:func:`bubble_factor_oracle`) that rebuilds the same coefficients from
@@ -24,11 +26,15 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
-from .diagrams import Diagram, enumerate_diagrams, slice_frequencies
-from .symbols import FreqExpr, GaussianFilter, scalar_eval
+from .diagrams import Diagram, enumerate_diagrams
+from .symbols import FreqExpr, GaussianFilter, freq_symbol, scalar_eval
 
 __all__ = [
+    "ExactCoefficient",
     "FrequencyTuple",
     "UnresolvedSingularityError",
     "diagram_contribution",
@@ -40,12 +46,8 @@ __all__ = [
 ]
 
 class UnresolvedSingularityError(ArithmeticError):
-    """A regulated limit does not exist (:meth:`_ShiftSeries.finite_part`)."""
-
-
-#: Regulator of singular diagrams.  A plain symbol carries no assumptions,
-#: so it never equals a model symbol (those are real).
-_EPS = sp.Symbol("eps")
+    """A regulated limit does not exist (:func:`regularize_singular`,
+    :meth:`_ShiftSeries.finite_part`)."""
 
 
 @dataclass(frozen=True)
@@ -76,91 +78,278 @@ class FrequencyTuple:
         return FrequencyTuple(new_mu, new_nu)
 
 
-def _partial_sums(block: Sequence[FreqExpr]) -> list[FreqExpr]:
-    sums = []
-    acc = FreqExpr.zero()
-    for w in block:
-        acc = acc + w
-        sums.append(acc)
-    return sums
+def _shift(i: int, j: int) -> int:
+    """Regulator multiple of the slice ``(i, j)`` of ``mu + nu``, whose
+    entry ``k`` is shifted by ``2**k * eps``."""
+    return 2**j - 2**i
 
 
-def _vfac_sympy(block: Sequence[sp.Expr]) -> sp.Expr:
-    prod = sp.Integer(1)
-    acc = sp.Integer(0)
-    for w in block:
-        acc = acc + w
-        prod = prod * acc
-    return prod
+class _Frame:
+    """Exact arithmetic of one frequency tuple's coefficient.
+
+    Every partial sum of a diagram is the sum of a slice ``(i, j)`` of
+    ``mu + nu`` on one side.  A slice sum ``s = c*f`` other than zero is
+    held through its normalized linear form ``f`` (first coefficient 1):
+    ``1/s = y_f / c`` in a polynomial ring over QQ whose generators are the
+    tuple's frequency symbols, ``tau`` unless it is a rational number, and
+    one inverse ``y_f`` per distinct form.  Diagrams are summed and
+    multiplied in the ring; :meth:`reduced` puts an element over its forms.
+    """
+
+    def __init__(self, freqs: FrequencyTuple, filter_spec: GaussianFilter):
+        entries = freqs.mu + freqs.nu
+        self.left = len(freqs.mu)
+        self.tau = filter_spec.tau
+        sums = {}
+        for lo, hi in ((0, self.left), (self.left, len(entries))):
+            for i in range(lo, hi):
+                acc = FreqExpr.zero()
+                for j in range(i + 1, hi + 1):
+                    acc = acc + entries[j - 1]
+                    sums[i, j] = acc
+        forms: dict = {}  # normalized form -> index of its inverse
+        lead = {}  # slice -> (normalized form, leading coefficient)
+        for ij, s in sums.items():
+            if not s.is_zero:
+                c = next(iter(s.coeffs.values()))
+                lead[ij] = (s * (1 / c), c)
+                forms.setdefault(lead[ij][0], len(forms))
+        names = sorted(set().union(*(w.symbols for w in entries)))
+        gens = [freq_symbol(n) for n in names]
+        rational_tau = isinstance(self.tau, sp.Rational)
+        if not rational_tau:
+            gens.append(self.tau)
+        self.nx = len(gens)
+        gens += [sp.Symbol(f"y[{k}]") for k in range(len(forms))]
+        self.ring = ring = PolyRing(gens, QQ, lex)
+        self.tau2 = (
+            ring.ground_new(QQ.from_sympy(self.tau**2)) if rational_tau
+            else ring.gens[len(names)] ** 2
+        )
+        x = dict(zip(names, ring.gens))
+
+        def linear(s: FreqExpr):
+            return sum((x[n] * QQ(c) for n, c in s.coeffs.items()), ring.zero)
+
+        self.sums = {ij: linear(s) for ij, s in sums.items()}
+        self.forms = [None] * len(forms)
+        for f, k in forms.items():
+            self.forms[k] = (linear(f), f.to_sympy())
+        y = ring.gens[self.nx:]
+        self.inverse = {
+            ij: y[forms[f]] / QQ(c) for ij, (f, c) in lead.items()
+        }
+
+    def total(self, i: int, j: int):
+        """Sum of the slice ``(i, j)`` (0 for an empty one)."""
+        return self.sums[i, j] if j > i else self.ring.zero
+
+    def layout(self, diagram: Diagram):
+        """``(sign, bubbles, divisors)`` of a diagram: its bubbles as
+        ``(left slice, right slice)`` pairs and the slices of the partial
+        sums it divides by.  The total of the last left block is both a
+        partial sum and the diagram's numerator, so it is not a divisor."""
+        bubbles, divisors = [], []
+        li, ri = 0, self.left
+        for bubble in diagram:
+            pair = ((li, li + bubble.left), (ri, ri + bubble.right))
+            bubbles.append(pair)
+            for i, j in pair:
+                divisors.extend((i, k) for k in range(i + 1, j + 1))
+            li, ri = pair[0][1], pair[1][1]
+        divisors.remove(bubbles[-1][0])
+        sign = (-1) ** (ri - self.left + len(bubbles) - 1)
+        return sign, bubbles, divisors
+
+    def key(self, bubbles):
+        """Filter exponent of a diagram, the sum of its squared bubble
+        totals: its filters multiply to ``exp(-tau**2 * key / 2)`` (so the
+        key is 0 at zero tau, where every filter is 1)."""
+        if self.tau == 0:
+            return self.ring.zero
+        return sum(
+            ((self.total(*m) + self.total(*n)) ** 2 for m, n in bubbles),
+            self.ring.zero,
+        )
+
+    def reduced(self, poly):
+        """``(P, powers)`` with ``poly == P / prod(f_k**powers[k])``.
+
+        The largest power of each inverse ``y_k`` in ``poly`` is its
+        common denominator, and each form that divides ``P`` exactly is
+        cancelled, so the pair is canonical: no gcd is needed, since the
+        forms are distinct and irreducible.  ``P`` is zero exactly when
+        ``poly`` is.
+        """
+        ring, nx = self.ring, self.nx
+        tail = (0,) * (ring.ngens - nx)
+        groups: dict = {}  # inverse exponents -> the x part of poly
+        for monom, coeff in poly.items():
+            groups.setdefault(monom[nx:], {})[monom[:nx] + tail] = coeff
+        powers = [max(col) for col in zip(*groups)] if groups else []
+        num = ring.zero
+        for ys, part in groups.items():
+            part = ring.from_dict(part)
+            for (form, _), top, e in zip(self.forms, powers, ys):
+                if top > e:
+                    part = part * form ** (top - e)
+            num = num + part
+        for k, (form, _) in enumerate(self.forms):
+            while num and powers[k]:
+                quotient, rest = num.div(form)
+                if rest:
+                    break
+                num, powers[k] = quotient, powers[k] - 1
+        return num, powers
 
 
-def _diagram_expr(
-    diagram: Diagram,
-    mu: Sequence[sp.Expr],
-    nu: Sequence[sp.Expr],
-    filter_spec: Callable[[sp.Expr], sp.Expr],
-) -> sp.Expr:
-    """Signed diagram term with frequencies already mapped to sympy;
-    ``filter_spec`` gives the filter value at a frequency."""
-    sign = sp.Integer(-1) ** (len(nu) + diagram.size - 1)
-    blocks = slice_frequencies(diagram, mu, nu)
-    factors = [
-        filter_spec(sp.Add(*mblock, *nblock))
-        / (_vfac_sympy(mblock) * _vfac_sympy(nblock))
-        for mblock, nblock in blocks
-    ]
-    return sign * sp.Add(*blocks[-1][0]) * sp.Mul(*factors)
+class ExactCoefficient:
+    """A coefficient, or a part of one, as exact data: a map from filter
+    exponent ``key`` to an element of the tuple's :class:`_Frame` ring,
+    standing for ``sum(exp(-tau**2 * key / 2) * value)``.  Distinct keys
+    are independent functions of the frequencies.  Parts of one
+    coefficient add with ``+``; :meth:`to_sympy` is the one conversion."""
+
+    __slots__ = ("frame", "terms")
+
+    def __init__(self, frame: _Frame, terms: dict):
+        self.frame = frame
+        self.terms = terms
+
+    def __add__(self, other: "ExactCoefficient") -> "ExactCoefficient":
+        terms = dict(self.terms)
+        for key, value in other.terms.items():
+            terms[key] = terms[key] + value if key in terms else value
+        return ExactCoefficient(self.frame, terms)
+
+    def to_sympy(self) -> sp.Expr:
+        """``sum(exp(-tau**2 * key / 2) * expand(P / prod(f**k)))`` over
+        the keys, with ``P / prod(f**k)`` canonical (:meth:`_Frame.reduced`)
+        and the exponential split over the monomials of the key."""
+        frame = self.frame
+        out = []
+        for key, value in self.terms.items():
+            num, powers = frame.reduced(value)
+            if not num:
+                continue
+            den = sp.Mul(*(
+                form ** k for (_, form), k in zip(frame.forms, powers) if k
+            ))
+            arg = -(frame.tau**2) * key.as_expr() / 2
+            out.append(
+                sp.expand(sp.exp(arg)) * sp.expand(num.as_expr() / den)
+            )
+        return sp.Add(*out)
 
 
 def diagram_contribution(
     diagram: Diagram,
     freqs: FrequencyTuple,
     filter_spec: GaussianFilter,
-) -> sp.Expr:
-    """Contribution of one diagram at a non-singular frequency tuple.
+    frame: _Frame | None = None,
+) -> ExactCoefficient:
+    """Contribution of one diagram at a non-singular frequency tuple: its
+    sign times its bubbles' filter values over its partial sums.
 
     Raises :class:`ZeroDivisionError` if any partial sum vanishes; singular
-    tuples must go through :func:`regularize_singular` instead.
+    tuples must go through :func:`regularize_singular` instead.  ``frame``
+    is the tuple's :class:`_Frame`, made here if not given.
     """
-    for pair in slice_frequencies(diagram, freqs.mu, freqs.nu):
-        for block in pair:
-            sums = _partial_sums(block)
-            singular = tuple(i + 1 for i, s in enumerate(sums) if s.is_zero)
-            if singular:
-                raise ZeroDivisionError(
-                    f"diagram {diagram} singular at partial sum(s) {singular}; "
-                    "use regularize_singular"
-                )
-    return _diagram_expr(
-        diagram,
-        [w.to_sympy() for w in freqs.mu],
-        [w.to_sympy() for w in freqs.nu],
-        filter_spec,
+    frame = frame or _Frame(freqs, filter_spec)
+    sign, bubbles, divisors = frame.layout(diagram)
+    for i, j in (block for pair in bubbles for block in pair):
+        singular = tuple(
+            k - i for k in range(i + 1, j + 1) if (i, k) not in frame.inverse
+        )
+        if singular:
+            raise ZeroDivisionError(
+                f"diagram {diagram} singular at partial sum(s) {singular}; "
+                "use regularize_singular"
+            )
+    value = frame.ring.ground_new(sign)
+    for ij in divisors:
+        value = value * frame.inverse[ij]
+    return ExactCoefficient(frame, {frame.key(bubbles): value})
+
+
+def _shifted_series(frame: _Frame, diagram: Diagram):
+    """``(low, key, coeffs)``: the diagram with entry ``k`` of ``mu + nu``
+    shifted by ``2**k * eps`` is ``exp(-tau**2 * key / 2)`` times
+    ``sum(coeffs[n] * eps**(low + n))`` through ``eps**0``.
+
+    A partial sum ``b*eps`` gives the pole ``1/(b*eps)``, one ``a + b*eps``
+    the geometric series of ``1/a``; the filters of the bubbles (totals
+    ``A + B*eps``) give the exponential series of
+    ``-tau**2 * sum(2*A*B*eps + B**2*eps**2) / 2``.
+    """
+    sign, bubbles, divisors = frame.layout(diagram)
+    ring = frame.ring
+    low, const, geometric = 0, QQ(sign), []
+    for ij in divisors:
+        inverse = frame.inverse.get(ij)
+        if inverse is None:
+            low, const = low - 1, const / _shift(*ij)
+        else:
+            geometric.append((inverse, -_shift(*ij) * inverse))
+    n = 1 - low
+    shifts = [_shift(*m) + _shift(*r) for m, r in bubbles]
+    cross = sum(
+        (b * (frame.total(*m) + frame.total(*r))
+         for b, (m, r) in zip(shifts, bubbles)),
+        ring.zero,
     )
+    u1 = -frame.tau2 * cross
+    u2 = -frame.tau2 * QQ(sum(b * b for b in shifts), 2)
+    out = [ring.ground_new(const)]
+    for m in range(1, n):
+        term = u1 * out[m - 1]
+        if m > 1:
+            term = term + 2 * u2 * out[m - 2]
+        out.append(term * QQ(1, m))
+    for first, ratio in geometric:
+        series = [first]
+        while len(series) < n:
+            series.append(series[-1] * ratio)
+        out = [
+            sum((out[i] * series[k - i] for i in range(k + 1)), ring.zero)
+            for k in range(n)
+        ]
+    return low, frame.key(bubbles), out
 
 
 def regularize_singular(
     diagrams: Sequence[Diagram],
     freqs: FrequencyTuple,
     filter_spec: GaussianFilter,
-) -> sp.Expr:
+    frame: _Frame | None = None,
+) -> ExactCoefficient:
     """Finite part of the singular ``diagrams`` of one coefficient.
 
-    Entry ``i`` of ``mu + nu`` is shifted by ``2**i * eps``, so every partial
-    sum becomes ``a + b*eps`` with an integer ``b != 0``.  The diagrams are
-    summed and expanded by one :class:`_ShiftSeries`: a pole of one diagram
-    may cancel only in the sum, and :meth:`_ShiftSeries.finite_part`
-    raises, naming the weight and the tuple, if one survives.
+    Entry ``i`` of ``mu + nu`` is shifted by ``2**i * eps``, so every
+    partial sum becomes ``a + b*eps`` with an integer ``b != 0``, and each
+    diagram is expanded in ``eps`` exactly (:func:`_shifted_series`).  A
+    pole of one diagram may cancel only in the sum: each negative power of
+    the summed series must vanish at every filter exponent, or
+    :class:`UnresolvedSingularityError` names the weight, the tuple and the
+    highest power that survives.  ``frame`` is as in
+    :func:`diagram_contribution`.
     """
-    shifted = [
-        w.to_sympy() + 2**i * _EPS for i, w in enumerate(freqs.mu + freqs.nu)
-    ]
-    mu, nu = shifted[: len(freqs.mu)], shifted[len(freqs.mu) :]
-    exprs = [_diagram_expr(d, mu, nu, filter_spec) for d in diagrams]
-    total = sp.Add(*exprs, evaluate=False)
-    labels = (", ".join(map(str, ws)) for ws in (freqs.mu, freqs.nu))
-    where = "C{} at mu=({}), nu=({})".format(freqs.weight, *labels)
-    return _ShiftSeries(_EPS).finite_part(total, where)
+    frame = frame or _Frame(freqs, filter_spec)
+    powers: dict = {}  # power of eps -> {key: ring element}
+    for diagram in diagrams:
+        low, key, coeffs = _shifted_series(frame, diagram)
+        for n, value in enumerate(coeffs):
+            terms = powers.setdefault(low + n, {})
+            terms[key] = terms[key] + value if key in terms else value
+    for power in sorted((p for p in powers if p < 0), reverse=True):
+        if any(frame.reduced(v)[0] for v in powers[power].values()):
+            labels = (", ".join(map(str, ws)) for ws in (freqs.mu, freqs.nu))
+            where = "C{} at mu=({}), nu=({})".format(freqs.weight, *labels)
+            raise UnresolvedSingularityError(
+                f"regulator poles survive: the limit diverges "
+                f"(shift^{power}) for {where}"
+            )
+    return ExactCoefficient(frame, powers.get(0, {}))
 
 
 def _truncated_product(x: list, y: list, n: int) -> list:
@@ -182,10 +371,11 @@ _MAX_LEADING_SEARCH = 8
 
 
 class _ShiftSeries:
-    """Exact truncated Laurent series in one regulator symbol, the shift:
-    the one kernel for every regulated limit (singular diagrams, see
-    :func:`regularize_singular`, and the ramp limit of
-    :func:`stcg.model._ramp_limit`).
+    """Exact truncated Laurent series of a sympy expression in one
+    regulator symbol, the shift: the ramp limit of
+    :func:`stcg.model._ramp_limit`, taken on merged coefficients that hold
+    couplings, ``t`` and ``I``.  Singular diagrams have their own exact
+    series (:func:`_shifted_series`).
 
     ``laurent(expr, prec)`` returns the coefficients of ``shift**low(expr)``
     through ``shift**(prec - 1)``, built factor by factor:
@@ -335,20 +525,27 @@ def contraction_coefficient(
     """Closed-form coefficient ``C[l,r](mu, nu)`` as a sympy expression.
 
     A pure function: every call sums the diagrams again, and callers that
-    meet a tuple more than once keep their own memo.  Singular diagrams go
-    through :func:`regularize_singular`, which raises
+    meet a tuple more than once keep their own memo.  The diagrams are
+    summed as :class:`ExactCoefficient` data in one :class:`_Frame` and
+    converted to sympy once.  Singular diagrams go through
+    :func:`regularize_singular`, which raises
     :class:`UnresolvedSingularityError` if their limit does not exist.
     """
-    total = sp.Integer(0)
+    frame = _Frame(freqs, filter_spec)
+    total = ExactCoefficient(frame, {})
     singular = []
     for diagram in enumerate_diagrams(*freqs.weight):
         try:
-            total += diagram_contribution(diagram, freqs, filter_spec)
+            part = diagram_contribution(diagram, freqs, filter_spec, frame)
         except ZeroDivisionError:
             singular.append(diagram)
+        else:
+            total = total + part
     if singular:
-        total += regularize_singular(singular, freqs, filter_spec)
-    return sp.expand(total)
+        total = total + regularize_singular(
+            singular, freqs, filter_spec, frame
+        )
+    return total.to_sympy()
 
 
 def _vanishes(expr: sp.Expr) -> bool:

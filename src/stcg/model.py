@@ -38,7 +38,14 @@ from .operators import (
     monomial_label,
     parse_operator,
 )
-from .symbols import TAU, TIME, FreqExpr, GaussianFilter, scalar_eval
+from .symbols import (
+    TAU,
+    TIME,
+    FreqExpr,
+    GaussianFilter,
+    parse_scalar,
+    scalar_eval,
+)
 
 __all__ = [
     "HamiltonianTermSpec",
@@ -331,7 +338,9 @@ def load_model(document) -> ModelSpec:
     conjugate partner is rejected, as is a document that is not an object,
     ``modes``, ``terms`` or ``ramps`` that is not a list of objects, a
     missing field of a mode, term or ramp, a field of the wrong type, and
-    ``symbols`` that declare the reserved names ``t`` or ``tau``.
+    ``symbols`` that declare the reserved names ``t`` or ``tau``.  A
+    coupling text is read by :func:`stcg.symbols.parse_scalar`, never run
+    as Python.
 
     The shift that splits ramped terms (:func:`encode_linear_ramp`) is
     :data:`RAMP_REGULATOR` with ``_`` appended until no symbol, ramp
@@ -388,7 +397,10 @@ def load_model(document) -> ModelSpec:
             raise ValueError(
                 f"coupling must be a string or a number, got {coupling!r}"
             )
-        coeff = sp.sympify(coupling, locals=locs)
+        coeff = (
+            parse_scalar(coupling, locs) if isinstance(coupling, str)
+            else sp.sympify(coupling)
+        )
         freq = FreqExpr.parse(_field(entry, "frequency", "model term"))
         unknown = set(freq.symbols) - set(params)
         if unknown:
@@ -586,16 +598,18 @@ def _merge(model: ModelSpec, slots: Mapping) -> list:
 
 def _coefficients(model: ModelSpec):
     """:func:`contraction_coefficient` at the model's filter, computed once
-    per symmetry orbit for the life of the returned function: one assembly.
+    per symmetry orbit for the life of the returned function: one
+    :func:`assemble`, :func:`effective_hamiltonian` or
+    :func:`effective_dissipators` call.
 
     A tuple ``mu`` of weight ``(l, r)`` shares its value, up to sign, with
     the rest of its orbit: ``C(-mu) = (-1)**(l + r - 1) * C(mu)`` (parity)
     and ``C(mirrored(mu)) = C(mu)`` (mirror).  A tuple not yet in the memo
     takes, in this order, the negated tuple's entry times the parity sign,
     the mirrored tuple's entry, or the negated mirror's entry times the
-    parity sign; only when all three are missing is it computed.  A reused
-    value keeps its partner's exact form, which may differ from the one a
-    fresh computation prints (``-1/(wa + wc)`` for ``1/(-wa - wc)``).
+    parity sign; only when all three are missing is it computed.  Since
+    :func:`contraction_coefficient` returns a canonical form, a reused
+    value prints as a fresh computation would.
     """
     memo: dict = {}
 
@@ -630,8 +644,13 @@ def effective_hamiltonian(
     the product of the tuple's operators (outermost last), the frequency the
     tuple sum.  Terms merge on (canonical monomial, frequency).
     """
+    return _hamiltonian(model, order, _coefficients(model))
+
+
+def _hamiltonian(model: ModelSpec, order, coefficient) -> tuple:
+    """:func:`effective_hamiltonian` with the coefficients of
+    ``coefficient``, a :func:`_coefficients` memo."""
     slots = defaultdict(list)
-    coefficient = _coefficients(model)
     for k in _orders(order, 1):
         for combo in itertools.product(model.terms, repeat=k):
             mu = tuple(term.freq for term in combo)
@@ -662,8 +681,13 @@ def effective_dissipators(
     the term set under conjugation exactly (see tests).  Terms merge on
     (L monomial, J monomial, frequency).
     """
+    return _dissipators(model, order, _coefficients(model))
+
+
+def _dissipators(model: ModelSpec, order, coefficient) -> tuple:
+    """:func:`effective_dissipators` with the coefficients of
+    ``coefficient``, a :func:`_coefficients` memo."""
     slots = defaultdict(list)
-    coefficient = _coefficients(model)
     for k in _orders(order, 2):
         for l in range(1, k):
             r = k - l
@@ -698,12 +722,17 @@ def effective_dissipators(
 
 def assemble(model: ModelSpec, order: int) -> EffectiveModel:
     """Full effective model: Hamiltonian and dissipators through ``order``,
-    with the model's numeric symbol values as ``params``."""
+    with the model's numeric symbol values as ``params``.
+
+    Both passes share one :func:`_coefficients` memo: a Hamiltonian tuple
+    of weight ``(l, 0)`` is the mirror of a ``(1, l - 1)`` dissipator
+    tuple, so the dissipator pass reuses it."""
+    coefficient = _coefficients(model)
     return EffectiveModel(
         order=order,
         modes=model.modes,
-        hamiltonian=effective_hamiltonian(model, order),
-        dissipators=effective_dissipators(model, order),
+        hamiltonian=_hamiltonian(model, order, coefficient),
+        dissipators=_dissipators(model, order, coefficient),
         params={k: v for k, v in model.params.items() if v is not None},
     )
 
@@ -864,7 +893,9 @@ def load_effective(document) -> EffectiveModel:
     ``hamiltonian`` or ``dissipators`` that is not a list of objects, a
     ``coeff``, ``rate``, ``L`` or ``J`` that is not a string, an ``order``
     that is not an integer of at least 1, or ``params`` that do not map
-    names to finite numbers raises ``ValueError`` naming the field.
+    names to finite numbers raises ``ValueError`` naming the field.  The
+    ``coeff`` and ``rate`` texts are read by
+    :func:`stcg.symbols.parse_scalar`, never run as Python.
     """
     document = _json_object(document)
     order = document.get("order")
@@ -908,7 +939,7 @@ def load_effective(document) -> EffectiveModel:
     locs = _coupling_locals(set().union(*map(_symbol_names, values)))
     ham = tuple(
         HamiltonianTermSpec(
-            sp.sympify(entry["coeff"], locals=locs),
+            parse_scalar(entry["coeff"], locs),
             FreqExpr.parse(_field(entry, "frequency", what)),
             parse_operator(_field(entry, "operator", what), modes),
         )
@@ -916,7 +947,7 @@ def load_effective(document) -> EffectiveModel:
     )
     dis = tuple(
         DissipatorTermSpec(
-            sp.sympify(entry["rate"], locals=locs),
+            parse_scalar(entry["rate"], locs),
             FreqExpr.parse(_field(entry, "frequency", what)),
             parse_operator(_text_field(entry, "L", what), modes),
             parse_operator(_text_field(entry, "J", what), modes),

@@ -8,7 +8,9 @@ which is why floats are not allowed in :class:`FreqExpr`.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -22,6 +24,7 @@ __all__ = [
     "FreqExpr",
     "GaussianFilter",
     "freq_symbol",
+    "parse_scalar",
     "scalar_eval",
 ]
 
@@ -255,11 +258,11 @@ def scalar_eval(expr, assignment: Mapping | None = None) -> complex:
     part of a complex one) stands for the rational of its 15-digit decimal,
     as a numeric tau does in :class:`GaussianFilter`: a generator derived
     at a symbolic tau, evaluated at ``tau=1.25e-10``, is the one derived at
-    that tau.  The values are substituted inside one ``evalf`` pass, which
-    raises the working precision until the result holds 15 correct digits.
-    Where no precision can (a sum that cancels to zero at this point), they
-    are substituted exactly instead: the result is then 0, or ``nan`` for a
-    vanishing denominator.
+    that tau.  The exact values are put in with one ``xreplace``, and one
+    ``evalf`` pass raises the working precision until the result holds 15
+    correct digits.  Where no precision can (a sum that cancels to zero at
+    this point), the exact expression is evaluated as it stands: the result
+    is then 0, or ``nan`` for a vanishing denominator.
     """
     expr = sp.sympify(expr)
     values = {
@@ -270,11 +273,13 @@ def scalar_eval(expr, assignment: Mapping | None = None) -> complex:
     if missing:
         names = ", ".join(missing)
         raise KeyError(f"no value provided for symbol(s): {names}")
-    subs = {s: _exact(values[s.name]) for s in expr.free_symbols}
+    exact = expr.xreplace(
+        {s: _exact(values[s.name]) for s in expr.free_symbols}
+    )
     try:
-        return complex(expr.evalf(subs=subs, strict=True))
+        return complex(exact.evalf(strict=True))
     except (PrecisionExhausted, ZeroDivisionError):
-        return complex(sp.N(expr.subs(subs)))
+        return complex(sp.N(exact))
 
 
 def _exact(value) -> sp.Expr:
@@ -285,3 +290,76 @@ def _exact(value) -> sp.Expr:
     if isinstance(value, float) and math.isfinite(value):
         return sp.Rational(f"{value:.15g}")
     return sp.sympify(value)
+
+
+#: Constants a scalar text may name (after the names it declares).
+_CONSTANTS = {"I": sp.I, "E": sp.E, "pi": sp.pi}
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def parse_scalar(text: str, symbols: Mapping[str, sp.Expr]) -> sp.Expr:
+    """Read a coefficient such as ``"g**2*exp(-tau**2*w**2/2)/(4*w)"``.
+
+    The text is parsed, never run as Python.  It may hold int and float
+    literals (a float is the ``sp.Float`` of its text), names, unary
+    ``+``/``-``, ``+ - * / **`` (``^`` reads as ``**``) and calls.  A name
+    is the entry of ``symbols``, else ``I``, ``E`` or ``pi``, else a plain
+    ``Symbol``.  A call names a sympy function or ``sqrt``; a name that
+    sympy does not define is an undefined ``Function``.  Anything else
+    (attributes, subscripts, keywords, strings, lambdas, a call of a sympy
+    name that is not a function) raises ``ValueError``.  What it accepts
+    reads as ``sympify(text, locals=symbols)`` would read it.
+    """
+    source = text.replace("^", "**").strip()
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
+
+    def read(node):
+        kind = type(node)
+        if kind is ast.Constant and type(node.value) is int:
+            return sp.Integer(node.value)
+        if kind is ast.Constant and type(node.value) is float:
+            return sp.Float(ast.get_source_segment(source, node))
+        if kind is ast.Name:
+            if node.id in symbols:
+                return symbols[node.id]
+            if node.id in _CONSTANTS:
+                return _CONSTANTS[node.id]
+            return sp.Symbol(node.id)
+        if kind is ast.BinOp and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](read(node.left), read(node.right))
+        if kind is ast.UnaryOp and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](read(node.operand))
+        if (
+            kind is ast.Call and type(node.func) is ast.Name
+            and not node.keywords
+        ):
+            return _function(node.func.id, text)(*map(read, node.args))
+        raise ValueError(
+            f"cannot read {text!r}: {kind.__name__} is not allowed in a "
+            "coefficient"
+        )
+
+    try:
+        return read(tree.body)
+    except TypeError as exc:
+        raise ValueError(f"cannot read {text!r}: {exc}") from None
+
+
+def _function(name: str, text: str):
+    """The function that a call in :func:`parse_scalar` names."""
+    value = getattr(sp, name, None)
+    if value is sp.sqrt or isinstance(value, sp.FunctionClass):
+        return value
+    if value is not None:
+        raise ValueError(f"cannot read {text!r}: {name} is not a function")
+    return sp.Function(name)

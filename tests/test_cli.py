@@ -548,6 +548,17 @@ class TestDerive:
         stored = TEST_DATA / "duffing_order2.json"
         assert out.read_bytes() == stored.read_bytes()
 
+    def test_parametron_order2_matches_stored_export(self, tmp_path):
+        # pins the order-2 ramp limit of the pumped parametron, whose
+        # coefficients hold two frequency symbols (wp and the ramp shift)
+        out = tmp_path / "parametron2.json"
+        assert main(
+            ["derive", "--preset", "parametron", "--order", "2",
+             "-o", str(out)]
+        ) == 0
+        stored = TEST_DATA / "parametron_order2.json"
+        assert out.read_bytes() == stored.read_bytes()
+
     def test_ramped_squeeze_order1_matches_stored_export(self, tmp_path):
         # pins the ramp limit of a model file: a ramped squeeze drive at
         # +-2*wp beside a static Kerr term

@@ -6,11 +6,17 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from diagram_reference import (
+    EPS as REGULATOR,
+    _diagram_expr,
+    exactly_zero,
+    reference_coefficient,
+    shifted_diagram,
+)
 from stcg import contraction
 from stcg.contraction import (
     FrequencyTuple,
     UnresolvedSingularityError,
-    _diagram_expr,
     _ShiftSeries,
     _vanishes,
     bubble_factor_oracle,
@@ -162,13 +168,8 @@ def _shifted_diagrams(freqs, filter_spec):
     """``(diagram, expression)`` per singular diagram, entry i of
     ``mu + nu`` shifted by ``2**i`` times the regulator of
     :func:`regularize_singular`."""
-    shifted = [
-        w.to_sympy() + 2**i * contraction._EPS
-        for i, w in enumerate(freqs.mu + freqs.nu)
-    ]
-    left = len(freqs.mu)
     return [
-        (d, _diagram_expr(d, shifted[:left], shifted[left:], filter_spec))
+        (d, shifted_diagram(d, freqs, filter_spec))
         for d in _singular_diagrams(freqs)
     ]
 
@@ -176,7 +177,7 @@ def _shifted_diagrams(freqs, filter_spec):
 def _laurent(expr):
     """``{power: coefficient}`` of ``expr`` through ``eps**0``, from a
     fresh kernel."""
-    kernel = _ShiftSeries(contraction._EPS)
+    kernel = _ShiftSeries(REGULATOR)
     low = kernel.low(expr)
     return {low + k: c for k, c in enumerate(kernel.laurent(expr, 1))}
 
@@ -230,7 +231,7 @@ class TestLaurentKernel:
             pairs = _shifted_diagrams(freqs, GAUSS)
             parts = sp.Add(*(_laurent(expr)[0] for _, expr in pairs))
             got = regularize_singular([d for d, _ in pairs], freqs, GAUSS)
-            assert got == parts, freqs
+            assert _vanishes(got.to_sympy() - parts), freqs
 
     def test_single_diagram_pole_cancels_in_sum(self, monkeypatch):
         freqs = FrequencyTuple((Z, Z))
@@ -254,6 +255,56 @@ class TestLaurentKernel:
             r"at mu=\(0, 0\), nu=\(\)$",
         ):
             contraction_coefficient(freqs, GAUSS)
+
+
+#: Entries of the seeded random tuples of :class:`TestExactKernel`; zero
+#: is drawn twice as often, so that most tuples are singular.
+RANDOM_ENTRIES = (Z, Z, W, -W, V, -V, W + V, W - V, 2 * W)
+
+
+class TestExactKernel:
+    """The exact kernel against the sympy route it replaced: diagrams
+    built by sympy's arithmetic, the singular ones expanded by the series
+    kernel of the ramp limit (``diagram_reference``)."""
+
+    @pytest.mark.parametrize(
+        "tau", [TAU, 0.26e-9], ids=["symbolic", "numeric"]
+    )
+    @pytest.mark.parametrize(
+        "weight", sorted(SINGULAR_TUPLES), ids=lambda w: f"{w[0]}-{w[1]}"
+    )
+    def test_singular_tuples(self, weight, tau):
+        filt = GaussianFilter(tau)
+        for mu, nu in SINGULAR_TUPLES[weight]:
+            freqs = FrequencyTuple(mu, nu)
+            got = contraction_coefficient(freqs, filt)
+            assert _vanishes(got - reference_coefficient(freqs, filt)), freqs
+
+    @pytest.mark.parametrize(
+        "tau", [TAU, 0.26e-9], ids=["symbolic", "numeric"]
+    )
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_tuples_through_weight_four(self, seed, tau):
+        # exactly_zero decides what _vanishes does, without its simplify
+        # fallback (seconds per two-symbol tuple)
+        rng = random.Random(seed)
+        weight = 1 + seed % 4
+        left = rng.randint(1, weight)
+        ws = [rng.choice(RANDOM_ENTRIES) for _ in range(weight)]
+        freqs = FrequencyTuple(tuple(ws[:left]), tuple(ws[left:]))
+        filt = GaussianFilter(tau)
+        got = contraction_coefficient(freqs, filt)
+        assert exactly_zero(got - reference_coefficient(freqs, filt)), freqs
+
+    def test_cancelled_form_is_canonical(self):
+        # C(a, a) with a = w + v: two diagrams over a*(2*a) and a*a, summed
+        # over their common denominator and cancelled to one power of a
+        a = WS + VS
+        freqs = FrequencyTuple((W + V, W + V))
+        got = contraction_coefficient(freqs, GAUSS)
+        assert got == sp.expand(f(2 * a)) / a - sp.expand(f(a) ** 2) / a
+        # so the parity partner prints as the negated coefficient
+        assert contraction_coefficient(freqs.negated(), GAUSS) == -got
 
 
 class TestSymmetries:

@@ -1,6 +1,5 @@
 import json
 import math
-import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -669,28 +668,33 @@ class TestAssembly:
             assert _vanishes(value - fresh), freqs
 
     def test_reused_coefficients_are_the_fresh_ones(self):
-        # the benchmark's detuned cavity-qubit model: a reused coefficient
-        # keeps its partner's form, which here differs from the fresh one
+        # the benchmark's detuned cavity-qubit model, whose two frequency
+        # symbols give denominators that cancel: the canonical form makes a
+        # reused coefficient print as the fresh one
         tau = {"kind": "gaussian", "tau": "0.18ns"}
         model = load_model(dict(CAVITY_QUBIT_DOC, filter=tau))
-        rng = random.Random(24)
-        points = [
-            {"wa": 2 * math.pi * rng.uniform(4.0, 5.0) * 1e9,
-             "wc": 2 * math.pi * rng.uniform(5.5, 6.5) * 1e9}
-            for _ in range(3)
-        ]
-        reprinted = 0
-        for derive in (effective_hamiltonian, effective_dissipators):
+        for derive in (effective_hamiltonian, effective_dissipators, assemble):
             computed, memo = _memo_of(derive, model, 2)
             assert len(computed) < len(memo)
             for freqs, value in memo.items():
                 fresh = contraction_coefficient(freqs, model.filter_spec)
-                reprinted += str(value) != str(fresh)
-                for point in points:
-                    want = scalar_eval(fresh, point)
-                    got = scalar_eval(value, point)
-                    assert abs(got - want) <= 1e-12 * abs(want), freqs
-        assert reprinted
+                assert str(value) == str(fresh), freqs
+
+    @pytest.mark.parametrize(
+        "doc", [RABI_DOC, get_preset("duffing")], ids=["rabi", "duffing"]
+    )
+    def test_assemble_computes_each_orbit_once_over_both_passes(self, doc):
+        # an H tuple of weight (l, 0) mirrors to a (1, l - 1) dissipator
+        # tuple: one memo for both passes computes it once
+        model = load_model(doc)
+        computed, _ = _memo_of(assemble, model, 2)
+        orbits = {_orbit(freqs) for freqs in computed}
+        assert len(orbits) == len(computed)
+        apart = sum(
+            len(_memo_of(derive, model, 2)[0])
+            for derive in (effective_hamiltonian, effective_dissipators)
+        )
+        assert len(computed) < apart
 
 
 class TestUnitaryLimit:
@@ -782,10 +786,11 @@ class TestPruneExport:
             (TEST_DATA / "rabi_order3.json", True),
             (TEST_DATA / "duffing_order2.json", True),
             (TEST_DATA / "ramped_squeeze_order1.json", True),
+            (TEST_DATA / "parametron_order2.json", True),
         ],
         ids=["rabi_order1", "parametron_order1", "rabi_order3",
              "exact_rabi_order1", "exact_rabi_order3", "exact_duffing_order2",
-             "exact_ramped_squeeze_order1"],
+             "exact_ramped_squeeze_order1", "exact_parametron_order2"],
     )
     def test_json_round_trip(self, path, exact):
         text = path.read_text()

@@ -1,13 +1,17 @@
 import cmath
+import json
 import math
+import os
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
+from stcg import model as smodel
 from stcg.contraction import (
     FrequencyTuple,
     _ShiftSeries,
@@ -17,7 +21,15 @@ from stcg.symbols import (
     TAU,
     FreqExpr,
     GaussianFilter,
+    parse_scalar,
     scalar_eval,
+)
+
+REPO = Path(__file__).resolve().parents[1]
+#: Every stored effective model: the test goldens and the benchmark's data.
+STORED_EXPORTS = sorted(
+    [*(REPO / "tests" / "data").glob("*_order*.json"),
+     *(REPO / "perfbench" / "data").glob("*.json")]
 )
 
 names = st.sampled_from(["wa", "wb", "wc", "wp"])
@@ -175,3 +187,77 @@ class TestScalarEval:
             want = complex(expr.evalf(50, subs=subs))
             got = scalar_eval(expr, point)
             assert abs(got - want) <= 1e-13 * abs(want), point
+
+
+def _stored_texts(path):
+    """The coefficient texts of a stored export, and the symbols that
+    :func:`stcg.model.load_effective` declares for them."""
+    doc = json.loads(path.read_text())
+    texts = [t["coeff"] for t in doc["hamiltonian"]]
+    texts += [t["rate"] for t in doc["dissipators"]]
+    names = set().union(*map(smodel._symbol_names, texts))
+    return texts, smodel._coupling_locals(names)
+
+
+class TestParseScalar:
+    @pytest.mark.parametrize(
+        "path", STORED_EXPORTS, ids=lambda p: f"{p.parent.name}/{p.stem}"
+    )
+    def test_reads_every_stored_export_as_sympify(self, path):
+        texts, symbols = _stored_texts(path)
+        assert texts
+        for text in texts:
+            want = sp.sympify(text, locals=symbols)
+            assert sp.srepr(parse_scalar(text, symbols)) == sp.srepr(want)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["g/2", "-g^2*tau", "2.50e-3*g + 1", "+g - -3", "I*pi*E**2",
+         "sqrt(2)*conjugate(g)", "exp(-tau**2*w**2/2)/(4*w)", "foo(g*t)",
+         "Abs(w) + Min(1, w)", "x_1 * 0.1", "1/3"],
+    )
+    def test_reads_as_sympify(self, text):
+        symbols = smodel._coupling_locals({"g", "w"})
+        want = sp.sympify(text, locals=symbols)
+        assert sp.srepr(parse_scalar(text, symbols)) == sp.srepr(want)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "__import__('os').getpid()",
+            "g.conjugate()",
+            "(g, w)[0]",
+            "exp(g, evaluate=False)",
+            "(lambda: g)()",
+            "'g'",
+            "Symbol(g)",
+            "S(1)",
+            "g if w else 1",
+            "g < w",
+            "g % 2",
+            "True*g",
+            "1j*g",
+            "g*",
+        ],
+    )
+    def test_rejects_what_is_not_a_scalar(self, text):
+        with pytest.raises(ValueError, match="cannot (read|parse)"):
+            parse_scalar(text, {})
+
+    def test_runs_no_python(self):
+        text = "__import__('os').getpid()"
+        assert sp.sympify(text) == os.getpid()
+        for load in (smodel.load_effective, smodel.load_model):
+            with pytest.raises(ValueError, match="cannot read"):
+                load(_document_with(text, load))
+
+
+def _document_with(text, load):
+    """A one-mode document for ``load`` with ``text`` as a coefficient."""
+    modes = [{"name": "a", "kind": "bosonic", "truncation": 2}]
+    if load is smodel.load_model:
+        term = {"coupling": text, "frequency": "0", "operator": "a'*a"}
+        return {"modes": modes, "terms": [term]}
+    term = {"coeff": text, "frequency": "0", "operator": "a'*a"}
+    return {"order": 1, "modes": modes, "hamiltonian": [term],
+            "dissipators": []}
