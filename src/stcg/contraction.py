@@ -5,12 +5,15 @@ acting from the left and ``r`` from the right of the state.  It is a sum
 over the bubble diagrams of :mod:`stcg.diagrams`; each diagram contributes a
 signed product of filter values divided by "vector factorials" (products of
 partial frequency sums).  The sum is exact data (:class:`ExactCoefficient`):
-per filter exponent, a polynomial over the tuple's linear forms, converted
-to sympy once.  Where partial sums vanish, every frequency is shifted by a
-distinct integer multiple of a regulator ``eps``; the singular diagrams of a
-coefficient are expanded in ``eps`` in the same exact form, and the
-``eps**0`` coefficient is kept once the poles cancel.  :class:`_ShiftSeries`
-takes the ramp limit of :mod:`stcg.model` on sympy expressions.
+per filter exponent, a polynomial over the tuple's linear forms.  Its
+frame-free :meth:`ExactCoefficient.canonical` form is what assembly adds into
+its exact slot sums; :meth:`ExactCoefficient.to_sympy` is the one conversion
+for a caller that needs an expression.  Where partial sums vanish, every
+frequency is shifted by a distinct integer multiple of a regulator ``eps``;
+the singular diagrams of a coefficient are expanded in ``eps`` in the same
+exact form, and the ``eps**0`` coefficient is kept once the poles cancel.
+:class:`_ShiftSeries` takes the ramp limit of :mod:`stcg.model` on sympy
+expressions.
 
 The module also carries a slow, independent numerical oracle
 (:func:`bubble_factor_oracle`) that rebuilds the same coefficients from
@@ -36,6 +39,7 @@ from .symbols import FreqExpr, GaussianFilter, freq_symbol, scalar_eval
 __all__ = [
     "ExactCoefficient",
     "FrequencyTuple",
+    "canonical_sympy",
     "UnresolvedSingularityError",
     "diagram_contribution",
     "regularize_singular",
@@ -120,6 +124,7 @@ class _Frame:
         if not rational_tau:
             gens.append(self.tau)
         self.nx = len(gens)
+        self.xsyms = tuple(gens)
         gens += [sp.Symbol(f"y[{k}]") for k in range(len(forms))]
         self.ring = ring = PolyRing(gens, QQ, lex)
         self.tau2 = (
@@ -139,6 +144,10 @@ class _Frame:
         self.inverse = {
             ij: y[forms[f]] / QQ(c) for ij, (f, c) in lead.items()
         }
+
+    def monomial(self, exponents) -> tuple:
+        """A ring monomial free of inverses as ``(symbol, power)`` pairs."""
+        return tuple((x, e) for x, e in zip(self.xsyms, exponents) if e)
 
     def total(self, i: int, j: int):
         """Sum of the slice ``(i, j)`` (0 for an empty one)."""
@@ -208,7 +217,8 @@ class ExactCoefficient:
     exponent ``key`` to an element of the tuple's :class:`_Frame` ring,
     standing for ``sum(exp(-tau**2 * key / 2) * value)``.  Distinct keys
     are independent functions of the frequencies.  Parts of one
-    coefficient add with ``+``; :meth:`to_sympy` is the one conversion."""
+    coefficient add with ``+``; :meth:`canonical` is the frame-free form,
+    :meth:`to_sympy` the one conversion to an expression."""
 
     __slots__ = ("frame", "terms")
 
@@ -221,6 +231,37 @@ class ExactCoefficient:
         for key, value in other.terms.items():
             terms[key] = terms[key] + value if key in terms else value
         return ExactCoefficient(self.frame, terms)
+
+    def canonical(self) -> dict:
+        """``{(exponent, denominator, monomial): rational}``, the coefficient
+        without its frame: the sum of ``rational * monomial / denominator *
+        exp(-tau**2 * exponent / 2)`` over the entries.
+
+        ``exponent`` is the filter exponent, a frozenset of ``(monomial,
+        rational)`` pairs; ``denominator`` a frozenset of ``(form, power)``
+        pairs, each form a sympy linear form with first coefficient 1; a
+        monomial is a tuple of ``(symbol, power)`` pairs over the frequency
+        symbols and ``tau``, in sorted-name order with ``tau`` last.  The
+        numerator over the denominator is :meth:`_Frame.reduced`, so the form
+        is canonical: the coefficients of two tuples are equal exactly when
+        their forms are, and the negated coefficient has the negated
+        rationals.
+        """
+        frame = self.frame
+        out = {}
+        for key, value in self.terms.items():
+            num, powers = frame.reduced(value)
+            if not num:
+                continue
+            exponent = frozenset(
+                (frame.monomial(m), c) for m, c in key.items()
+            )
+            den = frozenset(
+                (form, k) for (_, form), k in zip(frame.forms, powers) if k
+            )
+            for m, c in num.items():
+                out[exponent, den, frame.monomial(m)] = c
+        return out
 
     def to_sympy(self) -> sp.Expr:
         """``sum(exp(-tau**2 * key / 2) * expand(P / prod(f**k)))`` over
@@ -240,6 +281,43 @@ class ExactCoefficient:
                 sp.expand(sp.exp(arg)) * sp.expand(num.as_expr() / den)
             )
         return sp.Add(*out)
+
+
+def canonical_sympy(tau: sp.Expr) -> Callable:
+    """A function from a key ``(exponent, denominator, monomial)`` of
+    :meth:`ExactCoefficient.canonical` at the filter scale ``tau`` to its
+    expression ``monomial / denominator * exp(-tau**2 * exponent / 2)``.
+    The ``exp`` factor is one ``exp`` per monomial of the exponent, which is
+    what ``expand`` makes of it (:meth:`ExactCoefficient.to_sympy`), built
+    without ``expand``.  Each key's expression, and each ``exp`` and
+    denominator factor, is built once per returned function."""
+    exps: dict = {}
+    dens: dict = {}
+    keys: dict = {}
+
+    def monomial(pairs):
+        return sp.Mul(*(x**e for x, e in pairs))
+
+    def expression(key):
+        hit = keys.get(key)
+        if hit is None:
+            exponent, den, mono = key
+            factor = exps.get(exponent)
+            if factor is None:
+                factor = exps[exponent] = sp.Mul(*(
+                    sp.exp(
+                        sp.Rational(-c.numerator, 2 * c.denominator)
+                        * tau**2 * monomial(m)
+                    )
+                    for m, c in exponent
+                ))
+            inverse = dens.get(den)
+            if inverse is None:
+                inverse = dens[den] = sp.Mul(*(f**-k for f, k in den))
+            hit = keys[key] = sp.Mul(monomial(mono), factor, inverse)
+        return hit
+
+    return expression
 
 
 def diagram_contribution(
@@ -521,13 +599,15 @@ def _inverse_series(c: list) -> list:
 
 def contraction_coefficient(
     freqs: FrequencyTuple, filter_spec: GaussianFilter
-) -> sp.Expr:
-    """Closed-form coefficient ``C[l,r](mu, nu)`` as a sympy expression.
+) -> ExactCoefficient:
+    """Closed-form coefficient ``C[l,r](mu, nu)`` as exact data.
 
     A pure function: every call sums the diagrams again, and callers that
     meet a tuple more than once keep their own memo.  The diagrams are
-    summed as :class:`ExactCoefficient` data in one :class:`_Frame` and
-    converted to sympy once.  Singular diagrams go through
+    summed as :class:`ExactCoefficient` data in one :class:`_Frame`;
+    assembly reads its :meth:`~ExactCoefficient.canonical` form, and a
+    caller that needs an expression calls
+    :meth:`~ExactCoefficient.to_sympy`.  Singular diagrams go through
     :func:`regularize_singular`, which raises
     :class:`UnresolvedSingularityError` if their limit does not exist.
     """
@@ -545,15 +625,25 @@ def contraction_coefficient(
         total = total + regularize_singular(
             singular, freqs, filter_spec, frame
         )
-    return total.to_sympy()
+    return total
 
 
 def _vanishes(expr: sp.Expr) -> bool:
-    """Exact zero test: ``expand``, with ``simplify`` as the fallback.
+    """Exact zero test of a sum of ``exp`` factors times rational functions.
 
-    ``simplify`` is skipped where ``expand`` already decides: it is
-    canonical on polynomials, and a product of plain factors other than 0
-    cannot vanish.
+    ``expand`` alone decides polynomials and products of plain factors,
+    which other than 0 cannot vanish.  Otherwise the expanded terms are
+    grouped by their product of ``exp`` factors whose argument is not a
+    number.  ``expand`` splits each argument into monomials, so distinct
+    products are exponentials of arguments that differ by more than a
+    constant, which are independent over the rational functions: when
+    every group's cofactor is a rational function, the sum vanishes
+    exactly when each cofactor ``cancel``s to 0.  A cofactor that is not
+    (``expand`` moved ``exp`` factors into a denominator that is a sum)
+    leaves the decision to the whole sum, with its ``exp`` factors as
+    powers of independent generators (:func:`_exp_as_powers`) and
+    ``cancel``; ``simplify`` is kept for a sum that is still not a
+    rational function (a root, a logarithm, another function).
     """
     if expr == 0:
         return True
@@ -564,7 +654,53 @@ def _vanishes(expr: sp.Expr) -> bool:
         return True
     if expr.is_polynomial() or _is_plain_product(expr):
         return False
+    groups: dict = {}
+    for term in sp.Add.make_args(expr):
+        exps = sp.Mul(*(
+            f for f in sp.Mul.make_args(term)
+            if f.func is sp.exp and not f.args[0].is_number
+        ))
+        groups.setdefault(exps, []).append(term / exps)
+    cofactors = [sp.Add(*parts) for parts in groups.values()]
+    if all(c.is_rational_function() for c in cofactors):
+        return all(sp.cancel(c) == 0 for c in cofactors)
+    rational = _exp_as_powers(expr)
+    if rational is not None and rational.is_rational_function():
+        return sp.cancel(rational) == 0
     return sp.simplify(expr) == 0
+
+
+def _exp_as_powers(expr: sp.Expr) -> sp.Expr | None:
+    """``expr`` with each ``exp(c*m)``, for a rational ``c`` and a monomial
+    ``m`` (symbols to integer powers, and ``I``), written as an integer
+    power of one new symbol per ``m`` standing for ``exp(m/L)``, ``L`` the
+    common denominator of that monomial's ``c``; None if an ``exp`` is not
+    of this form.  Exponentials of distinct monomials are algebraically
+    independent over the rational functions, so ``expr`` vanishes exactly
+    when the result does."""
+    directions: dict = {}
+    for e in expr.atoms(sp.exp):
+        c, m = e.args[0].as_coeff_Mul()
+        if not (c.is_Rational and _is_monomial(m)):
+            return None
+        directions.setdefault(m, []).append((e, c))
+    powers = {}
+    for pairs in directions.values():
+        common = math.lcm(*(int(c.q) for _, c in pairs))
+        generator = sp.Dummy()
+        for e, c in pairs:
+            powers[e] = generator ** int(c * common)
+    return expr.xreplace(powers)
+
+
+def _is_monomial(expr: sp.Expr) -> bool:
+    """True for a product of symbols to integer powers and ``I``, other
+    than a number."""
+    return not expr.is_number and all(
+        f.is_Symbol or f is sp.I
+        or (f.is_Pow and f.base.is_Symbol and f.exp.is_Integer)
+        for f in sp.Mul.make_args(expr)
+    )
 
 
 def _is_plain_product(expr: sp.Expr) -> bool:
@@ -602,14 +738,18 @@ def symmetry_check(
     of any coefficient computed before it.
     """
     left, right = freqs.weight
-    base = scalar_eval(contraction_coefficient(freqs, filter_spec), assignment)
+    base = scalar_eval(
+        contraction_coefficient(freqs, filter_spec).to_sympy(), assignment
+    )
     scale = max(abs(base), 1e-30)
     parity_sign = (-1) ** (left + right - 1)
     flipped = scalar_eval(
-        contraction_coefficient(freqs.negated(), filter_spec), assignment
+        contraction_coefficient(freqs.negated(), filter_spec).to_sympy(),
+        assignment,
     )
     mirrored = scalar_eval(
-        contraction_coefficient(freqs.mirrored(), filter_spec), assignment
+        contraction_coefficient(freqs.mirrored(), filter_spec).to_sympy(),
+        assignment,
     )
     return {
         "parity": abs(flipped - parity_sign * base) / scale,
@@ -758,7 +898,7 @@ def numeric_limit_probe(
     scale = max(
         [abs(w.evaluate(assignment)) for w in freqs.mu + freqs.nu] + [1.0]
     )
-    expr = contraction_coefficient(shifted, filter_spec)
+    expr = contraction_coefficient(shifted, filter_spec).to_sympy()
     values = []
     for offset in _PROBE_OFFSETS:
         point = dict(assignment)

@@ -4,10 +4,15 @@ A :class:`ModelSpec` lists interaction-picture Hamiltonian terms
 ``g * h * exp(-i*w*t)`` over declared modes and symbols.  Assembly contracts
 products of these terms into an :class:`EffectiveModel`: a corrected
 Hamiltonian plus pseudo-dissipators, with coefficients built from the
-closed-form contraction coefficients.  Linearly ramped amplitudes are
+closed-form contraction coefficients.  Each merged term's coefficient is
+summed exactly first: the coefficients arrive as frame-free canonical forms
+(:meth:`stcg.contraction.ExactCoefficient.canonical`), and the loop over
+term tuples adds rationals into one exact sum per merged slot; the merge
+then writes each slot in sympy once.  Linearly ramped amplitudes are
 encoded as pairs of frequency-shifted static terms; after assembly the
 shift regulator goes to zero through an exact truncated Laurent series in
-the shift, and the constant term is kept.
+the shift, and the constant term is kept.  :func:`export_model` prints
+with one memoising printer per call.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.printing.str import StrPrinter
 
 from .contraction import (
     FrequencyTuple,
     _is_plain_product,
     _ShiftSeries,
     _vanishes,
+    canonical_sympy,
     contraction_coefficient,
 )
 from .operators import (
@@ -484,50 +492,46 @@ def encode_linear_ramp(
     )
 
 
-def _ramp_limit(groups: Mapping, regulator: str | None):
-    """Take the regulator -> 0 limit groupwise.
+def _ramp_limit(groups: Mapping, regulator: str):
+    """Take the limit of the shift named ``regulator`` -> 0 groupwise.
 
     ``groups`` maps a merge key to a list of ``(coeff, shift_multiple)``
     pairs.  The limit of the combined coefficient, residual phase
     ``exp(-i*m*shift*t)`` included, is its finite part in the shift
     (:meth:`stcg.contraction._ShiftSeries.finite_part`, which names the term
-    if the limit does not exist), multiplied out by :func:`_expanded_terms`.
-    Without a regulator the shift is a ``Dummy`` that no coefficient
-    contains, so each group is its own constant term.  Zero results are
-    dropped.
+    if the limit does not exist), multiplied out (:func:`_distributed`,
+    :func:`_expanded_terms`).  Zero results are dropped.
     """
-    shift = sp.Symbol(regulator, real=True) if regulator else sp.Dummy()
-    kernel = _ShiftSeries(shift)
+    kernel = _ShiftSeries(sp.Symbol(regulator, real=True))
     out = {}
     for key, pieces in groups.items():
         # Unevaluated: the pieces are summed once, after multiplying out.
         combined = sp.Add(
             *(
-                coeff * sp.exp(-sp.I * sp.Rational(m) * shift * TIME)
+                coeff * sp.exp(-sp.I * sp.Rational(m) * kernel.shift * TIME)
                 for coeff, m in pieces
             ),
             evaluate=False,
         )
         limit = kernel.finite_part(combined, f"term {key}")
-        value = sp.Add(*_expanded_terms(limit))
+        value = sp.Add(*_expanded_terms(_distributed(limit)))
         if value != 0:
             out[key] = value
     return out
 
 
-def _expanded_terms(expr: sp.Expr) -> list:
-    """The terms of ``sp.expand(expr)``, for an ``expr`` whose factors are
-    already expanded apart from products with sums.
+def _expanded_terms(terms) -> list:
+    """The terms of ``sp.expand(sum(terms))``, for products ``terms`` whose
+    factors are already expanded and are not sums.
 
-    Products are multiplied out term by term.  Only a term with a factor
-    that ``expand`` would still rewrite (not plain, see
-    :func:`stcg.contraction._is_plain`: a power of a sum, such as a
-    non-atomic denominator, or another compound factor) goes through
+    Only a term with a factor that ``expand`` would still rewrite (not
+    plain, see :func:`stcg.contraction._is_plain`: a power of a sum, such
+    as a non-atomic denominator, or another compound factor) goes through
     ``sp.expand``, alone: ``expand`` moves numeric factors into such
     denominators, and the exported forms keep that.
     """
     out = []
-    for term in _distributed(expr):
+    for term in terms:
         if _is_plain_product(term):
             out.append(term)
         else:
@@ -536,9 +540,11 @@ def _expanded_terms(expr: sp.Expr) -> list:
 
 
 def _distributed(expr: sp.Expr) -> list:
+    """The terms of ``expr`` with every product of sums multiplied out; a
+    product with no sum factor is one term as it is."""
     if expr.is_Add:
         return [t for arg in expr.args for t in _distributed(arg)]
-    if expr.is_Mul:
+    if expr.is_Mul and any(factor.is_Add for factor in expr.args):
         terms = [sp.Integer(1)]
         for factor in expr.args:
             parts = _distributed(factor) if factor.is_Add else (factor,)
@@ -580,26 +586,93 @@ def _product(terms: Sequence[HamiltonianTermSpec]) -> OperatorSum:
 def _merge(model: ModelSpec, slots: Mapping) -> list:
     """Resolve merged ``(key, frequency)`` slots into sorted terms.
 
-    Each slot's list of pieces is summed once, and slots are grouped by
-    regulator-free frequency; each group is summed through :func:`_ramp_limit`,
-    the shift's limit taken.  Returns ``(key, frequency, coefficient)``
-    triples with non-zero coefficients, sorted by frequency text, then key.
+    Each slot is an exact sum (:func:`_add_to_slot`), written in sympy once
+    as one product per entry: ``rational * rest`` times the entry's
+    canonical expression (:func:`stcg.contraction.canonical_sympy`, whose
+    factors are built once per merge).  Without a regulator a slot's
+    coefficient is the sum of its products through :func:`_expanded_terms`.
+    With one, slots are grouped by regulator-free frequency and each group
+    is summed through :func:`_ramp_limit`, the shift's limit taken.  Returns
+    ``(key, frequency, coefficient)`` triples with non-zero coefficients,
+    sorted by frequency text, then key.
     """
-    grouped: dict = {}
-    for (key, freq), pieces in slots.items():
-        base, mult = _split_regulator(freq, model.regulator)
-        grouped.setdefault((key, base), []).append((sp.Add(*pieces), mult))
-    final = _ramp_limit(grouped, model.regulator)
+    expression = canonical_sympy(model.filter_spec.tau)
+
+    def products(entries: Mapping) -> list:
+        return [
+            sp.Mul(
+                sp.Rational(value.numerator, value.denominator),
+                rest, expression(key),
+            )
+            for (rest, key), value in entries.items()
+            if value
+        ]
+
+    if model.regulator is None:
+        final = {}
+        for slot, entries in slots.items():
+            value = sp.Add(*_expanded_terms(products(entries)))
+            if value != 0:
+                final[slot] = value
+    else:
+        grouped: dict = {}
+        for (key, freq), entries in slots.items():
+            base, mult = _split_regulator(freq, model.regulator)
+            grouped.setdefault((key, base), []).append(
+                (sp.Add(*products(entries)), mult)
+            )
+        final = _ramp_limit(grouped, model.regulator)
     return [
         (key, base, final[(key, base)])
         for key, base in sorted(final, key=lambda kb: (str(kb[1]), kb[0]))
     ]
 
 
+def _split(factor: sp.Expr):
+    """``(rational, rest)`` with ``factor == rational * rest``: the number
+    part of ``as_coeff_Mul`` as a ``QQ`` element if it is rational; a
+    number part that is not (a Float) stays in ``rest``."""
+    number, rest = factor.as_coeff_Mul()
+    if number.is_Rational:
+        return QQ(int(number.p), int(number.q)), rest
+    return QQ(1), factor
+
+
+def _combined(weight, parts) -> dict:
+    """``weight * sum(sign * form)`` over the ``(sign, form)`` pairs of
+    canonical forms (:meth:`~stcg.contraction.ExactCoefficient.canonical`),
+    zero entries dropped."""
+    out: dict = {}
+    for sign, form in parts:
+        scale = weight if sign > 0 else -weight
+        for key, value in form.items():
+            out[key] = out.get(key, 0) + scale * value
+    return {key: value for key, value in out.items() if value}
+
+
+def _add_to_slot(slot: dict, coupling, mono: sp.Expr, combined: dict):
+    """Add ``coupling * mono * combined`` to an exact slot sum.
+
+    ``slot`` maps ``(rest, canonical key)`` to a rational, where ``rest`` is
+    the product of the coupling and the operator factor ``mono`` without
+    their rational part and the key is one of ``combined``'s;
+    ``coupling`` is a :func:`_split` pair.
+    """
+    number, rest = coupling
+    mono_number, mono_rest = _split(mono)
+    number = number * mono_number
+    if mono_rest != 1:
+        rest = rest * mono_rest
+    for key, value in combined.items():
+        entry = (rest, key)
+        slot[entry] = slot.get(entry, 0) + number * value
+
+
 def _coefficients(model: ModelSpec):
-    """:func:`contraction_coefficient` at the model's filter, computed once
-    per symmetry orbit for the life of the returned function: one
-    :func:`assemble`, :func:`effective_hamiltonian` or
+    """:func:`contraction_coefficient` at the model's filter as its
+    canonical form (:meth:`~stcg.contraction.ExactCoefficient.canonical`),
+    computed once per symmetry orbit for the life of the returned function:
+    one :func:`assemble`, :func:`effective_hamiltonian` or
     :func:`effective_dissipators` call.
 
     A tuple ``mu`` of weight ``(l, r)`` shares its value, up to sign, with
@@ -607,13 +680,13 @@ def _coefficients(model: ModelSpec):
     and ``C(mirrored(mu)) = C(mu)`` (mirror).  A tuple not yet in the memo
     takes, in this order, the negated tuple's entry times the parity sign,
     the mirrored tuple's entry, or the negated mirror's entry times the
-    parity sign; only when all three are missing is it computed.  Since
-    :func:`contraction_coefficient` returns a canonical form, a reused
-    value prints as a fresh computation would.
+    parity sign; only when all three are missing is it computed.  The
+    canonical form has no frame, so a reused entry is the one a fresh
+    computation gives, and a parity partner's is its negation.
     """
     memo: dict = {}
 
-    def coefficient(freqs: FrequencyTuple) -> sp.Expr:
+    def coefficient(freqs: FrequencyTuple) -> dict:
         value = memo.get(freqs)
         if value is None:
             parity = (-1) ** (sum(freqs.weight) - 1)
@@ -624,10 +697,14 @@ def _coefficients(model: ModelSpec):
                 (mirror.negated(), parity),
             ):
                 if partner in memo:
-                    value = sign * memo[partner]
+                    value = memo[partner]
+                    if sign < 0:
+                        value = {k: -v for k, v in value.items()}
                     break
             else:
-                value = contraction_coefficient(freqs, model.filter_spec)
+                value = contraction_coefficient(
+                    freqs, model.filter_spec
+                ).canonical()
             memo[freqs] = value
         return value
 
@@ -650,19 +727,22 @@ def effective_hamiltonian(
 def _hamiltonian(model: ModelSpec, order, coefficient) -> tuple:
     """:func:`effective_hamiltonian` with the coefficients of
     ``coefficient``, a :func:`_coefficients` memo."""
-    slots = defaultdict(list)
+    slots = defaultdict(dict)
+    half = QQ(1, 2)
     for k in _orders(order, 1):
         for combo in itertools.product(model.terms, repeat=k):
             mu = tuple(term.freq for term in combo)
-            c_fwd = coefficient(FrequencyTuple(mu))
-            c_bwd = coefficient(FrequencyTuple(mu[::-1]).negated())
-            q = (c_fwd + c_bwd) / 2 * sp.Mul(*(term.coeff for term in combo))
-            if q == 0:
+            combined = _combined(half, (
+                (1, coefficient(FrequencyTuple(mu))),
+                (1, coefficient(FrequencyTuple(mu[::-1]).negated())),
+            ))
+            coupling = _split(sp.Mul(*(term.coeff for term in combo)))
+            if not combined or coupling[1] == 0:
                 continue
             op = _product(combo[::-1])
             total = sum(mu, FreqExpr.zero())
             for key, mono in op.terms.items():
-                slots[key, total].append(q * mono)
+                _add_to_slot(slots[key, total], coupling, mono, combined)
     return tuple(
         HamiltonianTermSpec(
             coeff, base, OperatorSum.monomial(model.modes, key)
@@ -687,7 +767,8 @@ def effective_dissipators(
 def _dissipators(model: ModelSpec, order, coefficient) -> tuple:
     """:func:`effective_dissipators` with the coefficients of
     ``coefficient``, a :func:`_coefficients` memo."""
-    slots = defaultdict(list)
+    slots = defaultdict(dict)
+    one = QQ(1)
     for k in _orders(order, 2):
         for l in range(1, k):
             r = k - l
@@ -695,19 +776,23 @@ def _dissipators(model: ModelSpec, order, coefficient) -> tuple:
                 mu = tuple(term.freq for term in lcombo)
                 for rcombo in itertools.product(model.terms, repeat=r):
                     nu = tuple(term.freq for term in rcombo)
-                    c_fwd = coefficient(FrequencyTuple(mu, nu))
-                    c_bwd = coefficient(FrequencyTuple(nu, mu).negated())
-                    coupling = sp.Mul(*(t.coeff for t in lcombo + rcombo))
-                    rate = -sp.I * (c_fwd - c_bwd) * coupling
-                    if rate == 0:
+                    combined = _combined(one, (
+                        (1, coefficient(FrequencyTuple(mu, nu))),
+                        (-1, coefficient(FrequencyTuple(nu, mu).negated())),
+                    ))
+                    coupling = _split(
+                        -sp.I * sp.Mul(*(t.coeff for t in lcombo + rcombo))
+                    )
+                    if not combined or coupling[1] == 0:
                         continue
                     left = _product(lcombo[::-1])
                     right = _product(rcombo)
                     total = sum(mu + nu, FreqExpr.zero())
                     for lkey, lmono in left.terms.items():
                         for jkey, jmono in right.terms.items():
-                            slots[(lkey, jkey), total].append(
-                                rate * lmono * jmono
+                            _add_to_slot(
+                                slots[(lkey, jkey), total], coupling,
+                                lmono * jmono, combined,
                             )
     return tuple(
         DissipatorTermSpec(
@@ -826,6 +911,31 @@ def prune_terms(
 # ---------------------------------------------------------------------------
 
 
+class _MemoPrinter(StrPrinter):
+    """``str`` of sympy expressions that prints each distinct subexpression
+    once for the life of the printer (one :func:`export_model` call): the
+    ``exp`` and denominator factors that many coefficients share are
+    printed once.
+
+    The memo is keyed by the expression, so two that compare unequal but
+    hash alike (Floats that differ only in precision) keep their own text.
+    A top-level call is not memoised: ``StrPrinter`` prints a Float at top
+    level with its trailing zeros and a nested one without.
+    """
+
+    def __init__(self):
+        super().__init__({"order": None})  # the settings of str()
+        self._memo: dict = {}
+
+    def _print(self, expr, **kwargs) -> str:
+        if kwargs or not self._print_level or not isinstance(expr, sp.Basic):
+            return super()._print(expr, **kwargs)
+        text = self._memo.get(expr)
+        if text is None:
+            text = self._memo[expr] = super()._print(expr)
+        return text
+
+
 def _mono_label(modes, op: OperatorSum) -> str:
     ((key, coeff),) = op.terms.items()
     if coeff != 1:
@@ -837,8 +947,11 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
     """Serialize an effective model ("json" dict or "text" listing).
 
     The json document holds every field of ``eff``; ``"params"`` is left
-    out when empty.  The text listing shows the terms only.
+    out when empty.  The text listing shows the terms only.  Coefficients
+    print as ``str`` prints them, through one memoising printer per call
+    (:class:`_MemoPrinter`).
     """
+    text = _MemoPrinter().doprint
     if fmt == "json":
         document = {
             "order": eff.order,
@@ -848,7 +961,7 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
             ],
             "hamiltonian": [
                 {
-                    "coeff": str(term.coeff),
+                    "coeff": text(term.coeff),
                     "frequency": str(term.freq),
                     "operator": _mono_label(eff.modes, term.op),
                 }
@@ -856,7 +969,7 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
             ],
             "dissipators": [
                 {
-                    "rate": str(term.rate),
+                    "rate": text(term.rate),
                     "L": _mono_label(eff.modes, term.left),
                     "J": _mono_label(eff.modes, term.right),
                     "frequency": str(term.freq),
@@ -872,14 +985,14 @@ def export_model(eff: EffectiveModel, fmt: str = "json"):
         for term in eff.hamiltonian:
             lines.append(
                 f"  {_mono_label(eff.modes, term.op):<16} "
-                f"freq {str(term.freq):<18} coeff {term.coeff}"
+                f"freq {str(term.freq):<18} coeff {text(term.coeff)}"
             )
         lines.append("[dissipators]")
         for term in eff.dissipators:
             lines.append(
                 f"  L {_mono_label(eff.modes, term.left):<12} "
                 f"J {_mono_label(eff.modes, term.right):<12} "
-                f"freq {str(term.freq):<18} rate {term.rate}"
+                f"freq {str(term.freq):<18} rate {text(term.rate)}"
             )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")

@@ -3,7 +3,9 @@
 Frequencies are linear combinations of named symbols with rational
 coefficients, so "is this combination exactly zero?" is always decidable.
 That question gates every division performed by the contraction machinery,
-which is why floats are not allowed in :class:`FreqExpr`.
+which is why floats are not allowed in :class:`FreqExpr`.  Coefficient texts
+are read by :func:`parse_scalar`, an n-ary reader of Python's syntax tree
+that never runs the text.
 """
 
 from __future__ import annotations
@@ -294,14 +296,47 @@ def _exact(value) -> sp.Expr:
 
 #: Constants a scalar text may name (after the names it declares).
 _CONSTANTS = {"I": sp.I, "E": sp.E, "pi": sp.pi}
-_BINARY = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
-}
+_SUM = {ast.Add: operator.add, ast.Sub: operator.sub}
+_PRODUCT = {ast.Mult: operator.mul, ast.Div: operator.truediv}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _chain(node, ops):
+    """The operands of a left-nested chain of ``ops`` (``a - b + c`` is
+    ``((a - b) + c)``), read off its left spine in a loop: the first
+    operand, then ``(op, operand)`` pairs in text order."""
+    tail = []
+    while type(node) is ast.BinOp and type(node.op) in ops:
+        tail.append((ops[type(node.op)], node.right))
+        node = node.left
+    return node, tail[::-1]
+
+
+def _sum(first, tail):
+    """``first`` plus or minus each operand of ``tail``, as one ``Add``."""
+    return sp.Add(
+        first,
+        *(x if op is operator.add else -x for op, x in tail),
+    )
+
+
+def _product(first, tail):
+    """``first`` times or over each operand of ``tail``.
+
+    While the running product is a number or a sum, each step is the
+    binary operation, as Python evaluates the text: a number divides a
+    Float exactly, and a number times a sum distributes.  The rest is one
+    ``Mul``, which is what the binary steps give from there on."""
+    acc, tail = first, list(tail)
+    while tail and (acc.is_Number or acc.is_Add):
+        op, x = tail.pop(0)
+        acc = op(acc, x)
+    if not tail:
+        return acc
+    return sp.Mul(
+        acc,
+        *(x if op is operator.mul else sp.Pow(x, -1) for op, x in tail),
+    )
 
 
 def parse_scalar(text: str, symbols: Mapping[str, sp.Expr]) -> sp.Expr:
@@ -314,14 +349,24 @@ def parse_scalar(text: str, symbols: Mapping[str, sp.Expr]) -> sp.Expr:
     ``Symbol``.  A call names a sympy function or ``sqrt``; a name that
     sympy does not define is an undefined ``Function``.  Anything else
     (attributes, subscripts, keywords, strings, lambdas, a call of a sympy
-    name that is not a function) raises ``ValueError``.  What it accepts
-    reads as ``sympify(text, locals=symbols)`` would read it.
+    name that is not a function), and a text nested too deeply for
+    Python's parser, raises ``ValueError``.  What it accepts reads as
+    ``sympify(text, locals=symbols)`` would read it.
+
+    A chain of ``+`` and ``-`` is read into one ``Add`` and a chain of
+    ``*`` and ``/`` into one ``Mul`` (:func:`_sum`, :func:`_product`),
+    walking the chain's left spine in a loop: a sum of many terms is one
+    level deep, not one level per term.
     """
     source = text.replace("^", "**").strip()
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(
+            f"cannot parse {text!r:.60}: nested too deeply"
+        ) from None
 
     def read(node):
         kind = type(node)
@@ -335,8 +380,12 @@ def parse_scalar(text: str, symbols: Mapping[str, sp.Expr]) -> sp.Expr:
             if node.id in _CONSTANTS:
                 return _CONSTANTS[node.id]
             return sp.Symbol(node.id)
-        if kind is ast.BinOp and type(node.op) in _BINARY:
-            return _BINARY[type(node.op)](read(node.left), read(node.right))
+        if kind is ast.BinOp and type(node.op) is ast.Pow:
+            return read(node.left) ** read(node.right)
+        for ops, combine in ((_SUM, _sum), (_PRODUCT, _product)):
+            if kind is ast.BinOp and type(node.op) in ops:
+                first, tail = _chain(node, ops)
+                return combine(read(first), [(op, read(x)) for op, x in tail])
         if kind is ast.UnaryOp and type(node.op) in _UNARY:
             return _UNARY[type(node.op)](read(node.operand))
         if (
@@ -353,6 +402,10 @@ def parse_scalar(text: str, symbols: Mapping[str, sp.Expr]) -> sp.Expr:
         return read(tree.body)
     except TypeError as exc:
         raise ValueError(f"cannot read {text!r}: {exc}") from None
+    except RecursionError:
+        raise ValueError(
+            f"cannot read {text!r:.60}: nested too deeply"
+        ) from None
 
 
 def _function(name: str, text: str):

@@ -28,6 +28,7 @@ from stcg.model import (
     effective_hamiltonian,
     ir_limit,
     load_model,
+    parse_quantity,
     prune_terms,
 )
 from stcg.operators import parse_operator
@@ -71,10 +72,14 @@ def test_01_closed_form_coefficients():
     start = time.perf_counter()
     filt = GaussianFilter()
     w1, w2 = FreqExpr.symbol("w1"), FreqExpr.symbol("w2")
-    c10 = contraction_coefficient(FrequencyTuple((w1,), ()), filt)
+    c10 = contraction_coefficient(FrequencyTuple((w1,), ()), filt).to_sympy()
     # argument order (w2, w1) puts w2 in the denominator slot
-    c20 = contraction_coefficient(FrequencyTuple((w2, w1), ()), filt)
-    c11 = contraction_coefficient(FrequencyTuple((w1,), (w2,)), filt)
+    c20 = contraction_coefficient(
+        FrequencyTuple((w2, w1), ()), filt
+    ).to_sympy()
+    c11 = contraction_coefficient(
+        FrequencyTuple((w1,), (w2,)), filt
+    ).to_sympy()
 
     s1, s2 = freq_symbol("w1"), freq_symbol("w2")
 
@@ -349,7 +354,7 @@ def test_04_oracle_equivalence():
         )
         closed = sp.lambdify(
             (*syms[: left + right], TAU),
-            contraction_coefficient(freqs, filt),
+            contraction_coefficient(freqs, filt).to_sympy(),
             modules="numpy",
         )
         for _ in range(10):
@@ -589,6 +594,61 @@ def test_06_dynamics_order3_beats_order1():
         f"t(e,e) err {err3:.3e} vs {errh:.3e} without dissipators; "
         f"purity rms {purity_3:.2e} vs {purity_h:.2e}; final tr rho^2 "
         f"{final_3:.4f} and {final_h:.4f}, exact {runs['exact']:.4f}",
+    )
+
+
+#: Scales of the rabi coupling g in :func:`test_06c_convergence_rate`.
+G_SCALES = (1 / 4, 1 / 8, 1 / 16)
+
+
+def test_06c_convergence_rate():
+    # The expansion is systematic: as g halves, the order-3 error of t(e,e)
+    # falls at its order's rate (about g**4 here, 10-17x per halving), and
+    # stays far below order 1's, which falls about 3x per halving.  Both
+    # generators are derived once with g symbolic and evaluated at each
+    # scale; each effective run starts from the coarse-grained exact state.
+    start = time.perf_counter()
+    doc = get_preset("rabi")
+    doc["modes"][0]["truncation"] = 30
+    g0 = doc["symbols"]["g"]
+    doc["symbols"]["g"] = None
+    model = load_model(doc)
+    generators = {1: assemble(model, 1), 3: assemble(model, 3)}
+    tau = float(model.filter_spec.tau)
+    rho0 = build_initial(model.modes, "coherent(2)*e")
+    obs = ObservableSpec.parse("t(e,e)", model.modes)
+    window, ds = 15.0 * NS, 0.03 * NS
+    n_inner = round(window / ds) + 1
+    margin = int(math.ceil(5 * tau / ds))
+    errors = {1: [], 3: []}
+    for scale in G_SCALES:
+        assignment = model.numeric_assignment(
+            {"g": scale * parse_quantity(g0)}
+        )
+        exact = integrate(
+            model, rho0, (-margin * ds, window + margin * ds), assignment,
+            n_samples=n_inner + 2 * margin,
+        )
+        smoothed = coarse_grain_trajectory(exact, tau)
+        ref = expectation_series(smoothed, obs).real
+        for order, eff in generators.items():
+            traj = integrate(
+                eff, smoothed.states[0], (0.0, window), assignment,
+                n_samples=n_inner,
+            )
+            pe = expectation_series(traj, obs).real
+            errors[order].append(compare_series(ref, pe)["rms"])
+    elapsed = time.perf_counter() - start
+    falls = [a / b for a, b in zip(errors[3], errors[3][1:])]
+    gaps = [e1 / e3 for e1, e3 in zip(errors[1], errors[3])]
+    _verdict(
+        "6c order-3 error falls at its order's rate",
+        min(falls) >= 8 and min(gaps) >= 100,
+        "order-3 err " + ", ".join(f"{e:.2e}" for e in errors[3])
+        + " at g/" + ", g/".join(str(round(1 / s)) for s in G_SCALES)
+        + "; falls " + ", ".join(f"{r:.1f}x" for r in falls)
+        + "; order-1 / order-3 " + ", ".join(f"{r:.0f}" for r in gaps)
+        + f", {elapsed:.0f}s",
     )
 
 

@@ -110,6 +110,26 @@ class TestExitCodes:
         assert code == 3
         assert "at least 2 samples" in capsys.readouterr().err
 
+    def test_validation_error_on_coefficient_too_deep(self, tmp_path, capsys):
+        # a 5000-term sum is nested too deeply for Python's parser
+        deep = " + ".join(f"{k}*g**{k}" for k in range(1, 5001))
+        doc = {
+            "order": 1,
+            "modes": [{"name": "a", "kind": "bosonic", "truncation": 2}],
+            "hamiltonian": [
+                {"coeff": deep, "frequency": "0", "operator": "a'*a"}
+            ],
+            "dissipators": [],
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["simulate", "--effective", str(path), "--initial", "fock(0)",
+             "--t1", "0.1ns", "--params", "g=1"]
+        )
+        assert code == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_validation_error_on_negative_fock(self, capsys):
         code = main(
             ["simulate", "--preset", "rabi", "--initial", "fock(-1)*g",
@@ -568,6 +588,18 @@ class TestDerive:
              "--order", "1", "-o", str(out)]
         ) == 0
         stored = TEST_DATA / "ramped_squeeze_order1.json"
+        assert out.read_bytes() == stored.read_bytes()
+
+    def test_cavity_qubit_order2_matches_stored_export(self, tmp_path):
+        # pins the one export form that still goes through sympy's expand:
+        # the detuned cavity-qubit's two frequency symbols give sums of
+        # frequencies in its denominators
+        out = tmp_path / "cavity2.json"
+        assert main(
+            ["derive", "--model", str(TEST_DATA / "cavity_qubit.json"),
+             "--order", "2", "-o", str(out)]
+        ) == 0
+        stored = TEST_DATA / "cavity_qubit_order2.json"
         assert out.read_bytes() == stored.read_bytes()
 
     def test_python_m_stcg_from_checkout(self):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import re
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,8 +13,10 @@ import sympy as sp
 
 from stcg import model as smodel
 from stcg.contraction import (
+    FrequencyTuple,
     UnresolvedSingularityError,
     _vanishes,
+    canonical_sympy,
     contraction_coefficient,
 )
 from stcg.model import (
@@ -50,6 +54,16 @@ RABI_DOC = {
         {"coupling": "g/2", "frequency": "-wc + wa", "operator": "a'*sm"},
     ],
 }
+
+
+def _expr(form, model):
+    """The sympy expression of a canonical coefficient form
+    (:meth:`stcg.contraction.ExactCoefficient.canonical`)."""
+    expression = canonical_sympy(model.filter_spec.tau)
+    return sp.Add(*(
+        sp.Rational(value.numerator, value.denominator) * expression(key)
+        for key, value in form.items()
+    ))
 
 
 def _orbit(freqs):
@@ -355,25 +369,89 @@ DRIVE_DOC = {
 DELTA = sp.Symbol("delta", real=True)
 
 
-def _merged_groups(doc, order, tau=None, parts=(assemble,)):
-    """Every ``{key: pieces}`` group the merge step receives while ``parts``
-    assemble ``doc`` through ``order``, with the model."""
+def _product_of(combo):
+    op = combo[0].op
+    for term in combo[1:]:
+        op = op.matmul(term.op)
+    return op
+
+
+def _reference_groups(doc, order, tau=None, parts=(assemble,)):
+    """Every ``{(key, frequency): pieces}`` group of the terms that
+    ``parts`` derive from ``doc`` through ``order``, with the model.
+
+    The groups are built here in sympy, as the merge summed them before it
+    took exact slot sums: each term tuple's piece is its symmetrized
+    coefficient (``contraction_coefficient(...).to_sympy()``) times the
+    couplings and the operator factor, and the pieces of a slot are summed
+    into one ``(coefficient, shift multiple)`` pair of its regulator-free
+    frequency's group.
+    """
     doc = dict(doc)
     if tau is not None:
         doc["filter"] = {"kind": "gaussian", "tau": tau}
     model = load_model(doc)
+    memo = {}
+
+    def c(*tuples):
+        freqs = FrequencyTuple(*tuples)
+        if freqs not in memo:
+            memo[freqs] = contraction_coefficient(
+                freqs, model.filter_spec
+            ).to_sympy()
+        return memo[freqs]
+
+    slots = defaultdict(list)
+    hamiltonian = {assemble, effective_hamiltonian} & set(parts)
+    for k in range(1, order + 1) if hamiltonian else ():
+        for combo in itertools.product(model.terms, repeat=k):
+            mu = tuple(term.freq for term in combo)
+            neg = tuple(-w for w in mu[::-1])
+            q = (c(mu) + c(neg)) / 2 * sp.Mul(*(t.coeff for t in combo))
+            total = sum(mu, FreqExpr.zero())
+            for key, mono in _product_of(combo[::-1]).terms.items():
+                slots[key, total].append(q * mono)
+    dissipators = {assemble, effective_dissipators} & set(parts)
+    for k in range(2, order + 1) if dissipators else ():
+        for l in range(1, k):
+            for lcombo in itertools.product(model.terms, repeat=l):
+                for rcombo in itertools.product(model.terms, repeat=k - l):
+                    mu = tuple(term.freq for term in lcombo)
+                    nu = tuple(term.freq for term in rcombo)
+                    back = (tuple(-w for w in nu), tuple(-w for w in mu))
+                    coupling = sp.Mul(*(t.coeff for t in lcombo + rcombo))
+                    rate = -sp.I * (c(mu, nu) - c(*back)) * coupling
+                    total = sum(mu + nu, FreqExpr.zero())
+                    left = _product_of(lcombo[::-1]).terms.items()
+                    right = _product_of(rcombo).terms.items()
+                    for (lkey, lmono), (jkey, jmono) in itertools.product(
+                        left, right
+                    ):
+                        slots[(lkey, jkey), total].append(rate * lmono * jmono)
     groups = {}
-    real = smodel._ramp_limit
-
-    def record(grouped, regulator):
-        groups.update(grouped)
-        return real(grouped, regulator)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(smodel, "_ramp_limit", record)
-        for part in parts:
-            part(model, order)
+    for (key, freq), pieces in slots.items():
+        base, mult = smodel._split_regulator(freq, model.regulator)
+        groups.setdefault((key, base), []).append((sp.Add(*pieces), mult))
     return groups, model
+
+
+def _derived(model, order, parts):
+    """``{(key, frequency): coefficient}`` of the terms ``parts`` derive,
+    a dissipator's key the pair of its L and J monomials."""
+    out = {}
+    for part in parts:
+        derived = part(model, order)
+        if isinstance(derived, smodel.EffectiveModel):
+            derived = derived.hamiltonian + derived.dissipators
+        for term in derived:
+            if isinstance(term, HamiltonianTermSpec):
+                ((key, _),) = term.op.terms.items()
+                out[key, term.freq] = term.coeff
+            else:
+                ((lkey, _),) = term.left.terms.items()
+                ((jkey, _),) = term.right.terms.items()
+                out[(lkey, jkey), term.freq] = term.rate
+    return out
 
 
 def _key(text, modes):
@@ -423,7 +501,7 @@ class TestRampLimitKernel:
     @pytest.fixture(scope="class", params=[None, "0.26ns"],
                     ids=["symbolic", "numeric"])
     def drive_groups(self, request):
-        groups, model = _merged_groups(RAMPED_DRIVE_DOC, 2, request.param)
+        groups, model = _reference_groups(RAMPED_DRIVE_DOC, 2, request.param)
         return groups, model.modes
 
     def _selected(self, modes):
@@ -539,8 +617,8 @@ def _assert_equal_renamed(doc, order, rename):
 
 class TestMergeWithoutRamp:
     def test_symbol_named_like_the_shift(self):
-        # The merge kernel's shift is a Dummy when nothing is ramped: a
-        # model symbol named delta is not expanded as the shift.
+        # Without a ramp the merge takes no limit: a model symbol named
+        # delta is not expanded as the shift.
         doc = json.loads(_renamed(DRIVE_DOC, {"c0": "delta"}))
         _assert_equal_renamed(doc, 2, {"delta": "c0"})
 
@@ -558,18 +636,49 @@ class TestMergeWithoutRamp:
     def test_distributed_sum_equals_expand(
         self, doc, order, parts, sum_denominators, tau
     ):
-        groups, _ = _merged_groups(doc, order, tau, parts)
+        groups, model = _reference_groups(doc, order, tau, parts)
         assert groups
+        derived = _derived(model, order, parts)
         found = False
         for key, pieces in groups.items():
-            got = smodel._ramp_limit({key: pieces}, None).get(key, 0)
+            got = derived.pop(key, 0)
             assert str(got) == str(sp.expand(sp.Add(*(c for c, _ in pieces))))
             found |= any(
                 p.exp.is_negative and p.base.is_Add
                 for coeff, _ in pieces
                 for p in coeff.atoms(sp.Pow)
             )
+        assert not derived
         assert found == sum_denominators
+
+
+class TestMemoPrinter:
+    @pytest.mark.parametrize(
+        "path",
+        sorted([*TEST_DATA.glob("*_order*.json"), *BENCH_DATA.glob("*.json")]),
+        ids=lambda p: f"{p.parent.name}/{p.stem}",
+    )
+    def test_prints_every_stored_export_as_str(self, path):
+        eff = load_effective(path.read_text())
+        printer = smodel._MemoPrinter()
+        values = [t.coeff for t in eff.hamiltonian]
+        values += [t.rate for t in eff.dissipators]
+        for value in values + values[::-1]:
+            assert printer.doprint(value) == str(value)
+
+    def test_floats_that_differ_in_precision_keep_their_text(self):
+        # they hash alike but compare unequal, so each has its own entry
+        x, y = sp.symbols("x y", real=True)
+        half = sp.Float("0.5")
+        long_half = sp.Float("0.50000000000000000000")
+        assert hash(half) == hash(long_half) and half != long_half
+        exprs = [half, long_half, half * x, long_half * x,
+                 half * x + long_half * y, sp.exp(long_half * x) * y,
+                 sp.exp(half * x) * y, long_half, half]
+        printer = smodel._MemoPrinter()
+        for expr in exprs:
+            assert printer.doprint(expr) == str(expr)
+        assert str(long_half) != str(half)
 
 
 class TestAssembly:
@@ -665,12 +774,12 @@ class TestAssembly:
         assert len(orbits) == len(computed) < len(memo)
         for freqs, value in memo.items():
             fresh = contraction_coefficient(freqs, model.filter_spec)
-            assert _vanishes(value - fresh), freqs
+            assert _vanishes(_expr(value, model) - fresh.to_sympy()), freqs
 
     def test_reused_coefficients_are_the_fresh_ones(self):
         # the benchmark's detuned cavity-qubit model, whose two frequency
-        # symbols give denominators that cancel: the canonical form makes a
-        # reused coefficient print as the fresh one
+        # symbols give denominators that cancel: a reused coefficient's
+        # canonical form, and so its expression, is the fresh one's
         tau = {"kind": "gaussian", "tau": "0.18ns"}
         model = load_model(dict(CAVITY_QUBIT_DOC, filter=tau))
         for derive in (effective_hamiltonian, effective_dissipators, assemble):
@@ -678,7 +787,10 @@ class TestAssembly:
             assert len(computed) < len(memo)
             for freqs, value in memo.items():
                 fresh = contraction_coefficient(freqs, model.filter_spec)
-                assert str(value) == str(fresh), freqs
+                assert value == fresh.canonical(), freqs
+                assert str(_expr(value, model)) == str(
+                    _expr(fresh.canonical(), model)
+                ), freqs
 
     @pytest.mark.parametrize(
         "doc", [RABI_DOC, get_preset("duffing")], ids=["rabi", "duffing"]
@@ -787,10 +899,12 @@ class TestPruneExport:
             (TEST_DATA / "duffing_order2.json", True),
             (TEST_DATA / "ramped_squeeze_order1.json", True),
             (TEST_DATA / "parametron_order2.json", True),
+            (TEST_DATA / "cavity_qubit_order2.json", True),
         ],
         ids=["rabi_order1", "parametron_order1", "rabi_order3",
              "exact_rabi_order1", "exact_rabi_order3", "exact_duffing_order2",
-             "exact_ramped_squeeze_order1", "exact_parametron_order2"],
+             "exact_ramped_squeeze_order1", "exact_parametron_order2",
+             "exact_cavity_qubit_order2"],
     )
     def test_json_round_trip(self, path, exact):
         text = path.read_text()

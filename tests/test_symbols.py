@@ -172,7 +172,7 @@ class TestScalarEval:
         left, right = weight
         ws = [FreqExpr.symbol(f"q{i}") for i in range(left + right)]
         freqs = FrequencyTuple(tuple(ws[:left]), tuple(ws[left:]))
-        expr = contraction_coefficient(freqs, GaussianFilter())
+        expr = contraction_coefficient(freqs, GaussianFilter()).to_sympy()
         rng = random.Random(sum(weight) * 10 + left)
         for _ in range(5):
             # six-decimal values: a float stands for its decimal
@@ -214,7 +214,11 @@ class TestParseScalar:
         "text",
         ["g/2", "-g^2*tau", "2.50e-3*g + 1", "+g - -3", "I*pi*E**2",
          "sqrt(2)*conjugate(g)", "exp(-tau**2*w**2/2)/(4*w)", "foo(g*t)",
-         "Abs(w) + Min(1, w)", "x_1 * 0.1", "1/3"],
+         "Abs(w) + Min(1, w)", "x_1 * 0.1", "1/3",
+         # chains whose numbers and sums combine step by step
+         "2*(x+y)*z", "(x+y)*2*z", "3.0/7*x", "x/x*(y+z)*2", "1.5/3/x",
+         "a - b + c - (d - e)", "2*3/4*x*y/(x + y)", "-x*2", "x - 2.5 - 0.1",
+         "x*0.1 + y + x*0.2 + x*0.3", "0.1 + 0.2 + x + 0.3"],
     )
     def test_reads_as_sympify(self, text):
         symbols = smodel._coupling_locals({"g", "w"})
@@ -243,6 +247,25 @@ class TestParseScalar:
     def test_rejects_what_is_not_a_scalar(self, text):
         with pytest.raises(ValueError, match="cannot (read|parse)"):
             parse_scalar(text, {})
+
+    def test_long_sum_reads(self):
+        # a chain is one recursion level, not one per term; the reference
+        # is built directly, since sympify takes minutes on this text
+        # (each binary step re-sorts the sum)
+        text = " + ".join(f"{k}*x**{k}" for k in range(1, 1501))
+        x = sp.Symbol("x")
+        want = sp.Add(*(k * x**k for k in range(1, 1501)))
+        assert sp.srepr(parse_scalar(text, {})) == sp.srepr(want)
+        product = "*".join(f"y{k}" for k in range(1500))
+        want = sp.Mul(*(sp.Symbol(f"y{k}") for k in range(1500)))
+        assert parse_scalar(product, {}) == want
+
+    def test_text_too_deep_for_the_parser_is_a_value_error(self):
+        text = " + ".join(f"{k}*x**{k}" for k in range(1, 5001))
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_scalar(text, {})
+        with pytest.raises(ValueError, match="nested too deeply"):
+            smodel.load_effective(_document_with(text, smodel.load_effective))
 
     def test_runs_no_python(self):
         text = "__import__('os').getpid()"
